@@ -9,10 +9,8 @@ while their recombination restores it.
 
 from .operator_core import (
     COMM_TOL,
-    EIG_TOL,
     FUNCALC_TOL,
     HERM_TOL,
-    MAX_SWEEPS,
     FunctionDomainError,
     HermitianOperator,
     NumericalError,

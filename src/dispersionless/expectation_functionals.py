@@ -205,6 +205,13 @@ class DensityMatrix:
         self._spectrum = spec
 
     @classmethod
+    def _from_spectrum(cls, op: HermitianOperator, spec: Spectrum) -> "DensityMatrix":
+        # for callers that already decomposed op and applied the checks above
+        density = cls.__new__(cls)
+        density._op, density._spectrum = op, spec
+        return density
+
+    @classmethod
     def pure(cls, phi: PureState) -> "DensityMatrix":
         return cls(HermitianOperator(phi.projector()))
 
@@ -418,7 +425,7 @@ def reconstruct_density(
     tr = u_op.trace()
     if abs(tr - 1.0) > DM_TOL:
         raise NormalizationViolation(tr)
-    return DensityMatrix(u_op)
+    return DensityMatrix._from_spectrum(u_op, spec)
 
 
 @dataclass(frozen=True)
@@ -529,7 +536,9 @@ def dispersion_witness(u: DensityMatrix) -> tuple[HermitianOperator, float]:
             "no witness for a 1x1 density matrix"
         )
     spec = u.spectrum
-    idx = int(np.argmin(np.abs(spec.eigenvalues - 0.5)))
+    # p and 1 - p are equally good; take the lower one whatever the rounding
+    dist = np.abs(spec.eigenvalues - 0.5)
+    idx = int(np.flatnonzero(dist <= dist.min() + DM_TOL)[0])
     p = float(spec.eigenvalues[idx])
     if DM_GAP < p < 1.0 - DM_GAP:
         witness = HermitianOperator(spec.projector(idx))

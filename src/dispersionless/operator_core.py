@@ -1,8 +1,8 @@
 """Complex Hermitian matrix core: eigendecomposition, spectra, functional calculus.
 
 All matrices are dense numpy complex128 arrays.  Dimensions are small by
-design (a handful, not thousands), so the eigensolver is a self-contained
-cyclic Jacobi iteration rather than a LAPACK call.
+design (a handful, not thousands); eigendecompositions are LAPACK's
+Hermitian eigensolver called through numpy.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 HERM_TOL = 1e-10
-EIG_TOL = 1e-10
 FUNCALC_TOL = 1e-9
 COMM_TOL = 1e-9
-MAX_SWEEPS = 100
 
 # eigenvalues closer than this are treated as one degenerate cluster
 DEGENERACY_GAP = 1e-8
@@ -31,7 +29,7 @@ class ValidationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative routine failed to converge."""
+    """A computed value failed a numerical consistency check."""
 
 
 class FunctionDomainError(ValueError):
@@ -184,76 +182,12 @@ class Spectrum:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def _orthonormalize_block(block: np.ndarray) -> np.ndarray:
-    # modified Gram-Schmidt; input columns are already near-orthonormal
-    out = block.copy()
-    for j in range(out.shape[1]):
-        for k in range(j):
-            out[:, j] -= (out[:, k].conj() @ out[:, j]) * out[:, k]
-        out[:, j] /= np.linalg.norm(out[:, j])
-    return out
-
-
-def _regroup_degenerate(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > DEGENERACY_GAP:
-            if k - start > 1:
-                vecs[:, start:k] = _orthonormalize_block(vecs[:, start:k])
-            start = k
-    return vecs
-
-
 def eigendecompose(op) -> Spectrum:
-    """Diagonalize a Hermitian operator by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian operator with LAPACK's eigh (through numpy).
 
-    Returns all eigenpairs, eigenvalues ascending.  Raises NumericalError
-    if the off-diagonal mass has not collapsed after MAX_SWEEPS sweeps
-    (does not happen for finite Hermitian input; the guard names the
-    offending matrix).
+    Returns all eigenpairs: eigenvalues ascending, eigenvectors orthonormal.
     """
-    op = as_hermitian(op)
-    a = np.array(op.matrix, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = frobenius(a)
-    if scale > 0.0 and n > 1:
-        stop = 1e-14 * scale
-        skip = stop / (2 * n)
-        for _sweep in range(MAX_SWEEPS):
-            off = frobenius(a - np.diag(np.diag(a)))
-            if off <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    r = abs(apq)
-                    if r <= skip:
-                        continue
-                    phase = apq / r
-                    theta = 0.5 * math.atan2(2.0 * r, (a[p, p] - a[q, q]).real)
-                    c, s = math.cos(theta), math.sin(theta)
-                    g = np.array(
-                        [[c, -s * phase], [s * phase.conjugate(), c]],
-                        dtype=np.complex128,
-                    )
-                    a[:, [p, q]] = a[:, [p, q]] @ g
-                    a[[p, q], :] = g.conj().T @ a[[p, q], :]
-                    v[:, [p, q]] = v[:, [p, q]] @ g
-                    # zero by construction; clear rounding residue
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    a[p, p] = a[p, p].real
-                    a[q, q] = a[q, q].real
-        else:
-            raise NumericalError(
-                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-                f"for matrix\n{np.array2string(op.matrix, precision=6)}"
-            )
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _regroup_degenerate(vals, v[:, order])
+    vals, vecs = np.linalg.eigh(as_hermitian(op).matrix)
     return Spectrum(vals, vecs)
 
 
@@ -304,10 +238,6 @@ class RealFunction:
             return 0.0 if any(abs(x - p) <= tol for p in pts) else 1.0
 
         return cls(rule=rule, label="indicator-outside-spectrum")
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self._coeffs is not None
 
     @property
     def coefficients(self) -> list[float] | None:
@@ -367,6 +297,7 @@ def commutator_norm(a, b) -> float:
 
 
 def commutes(a, b, tol: float = COMM_TOL) -> bool:
+    """Whether ||AB - BA|| <= tol * max(1, ||A||·||B||); every commutation verdict uses it."""
     a = as_hermitian(a)
     b = as_hermitian(b)
     return commutator_norm(a, b) <= tol * max(1.0, a.norm() * b.norm())
@@ -394,6 +325,8 @@ def matrix_from_json(obj) -> np.ndarray:
     """Parse the shared matrix wire format, rejecting non-square or ragged data."""
     if not isinstance(obj, Mapping):
         raise ValidationError("matrix JSON must be an object with 'dim' and 'entries'")
+    if isinstance(obj.get("dim"), bool):
+        raise ValidationError("matrix JSON 'dim' must be an integer")
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
@@ -412,7 +345,8 @@ def matrix_from_json(obj) -> np.ndarray:
             if (not isinstance(cell, Sequence)) or isinstance(cell, str) or len(cell) != 2:
                 raise ValidationError("matrix JSON cells must be [re, im] pairs")
             re, im = cell
-            if not isinstance(re, numbers.Real) or not isinstance(im, numbers.Real):
+            # JSON true/false parse to bool, which Python counts as numbers.Real
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in cell):
                 raise ValidationError("matrix JSON cell parts must be real numbers")
             cells.append(complex(float(re), float(im)))
         rows.append(cells)

@@ -28,6 +28,7 @@ from .operator_core import (
     apply_function,
     as_hermitian,
     commutator_norm,
+    commutes,
     eigendecompose,
     frobenius,
 )
@@ -248,37 +249,41 @@ def _clusters(values: np.ndarray) -> list[tuple[int, int]]:
     return bounds
 
 
+def _nearest(values: np.ndarray, x: float) -> float:
+    return float(values[np.argmin(np.abs(values - x))])
+
+
 def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
     """Simultaneously diagonalize a commuting pair and label joint eigenspaces.
 
     Diagonalizes r, then the restriction of s inside each eigenvalue
-    cluster of r.  Raises ValidationError (carrying the commutator norm)
-    when the pair does not commute within tol.
+    cluster of r.  Each readout is snapped to the nearest eigenvalue of its
+    own operator, so equal inputs give equal tables.  Raises
+    ValidationError (carrying the commutator norm) when the pair does not
+    commute within tol.
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    if r.dim != s.dim:
-        raise ValidationError(f"dimension mismatch: {r.dim} vs {s.dim}")
-    cnorm = commutator_norm(r, s)
-    if cnorm > tol * max(1.0, r.norm() * s.norm()):
+    if not commutes(r, s, tol):
         raise ValidationError(
-            f"operators do not commute: commutator norm {cnorm:.6e}"
+            f"operators do not commute: commutator norm {commutator_norm(r, s):.6e}"
         )
     spec_r = eigendecompose(r)
+    spec_s = eigendecompose(s)
     t = np.zeros((r.dim, r.dim), dtype=np.complex128)
     f_table: dict[int, float] = {}
     g_table: dict[int, float] = {}
     label = 0
     for i0, i1 in _clusters(spec_r.eigenvalues):
         basis = spec_r.eigenvectors[:, i0:i1]
-        r_val = float(np.mean(spec_r.eigenvalues[i0:i1]))
+        r_val = _nearest(spec_r.eigenvalues, np.mean(spec_r.eigenvalues[i0:i1]))
         block = basis.conj().T @ s.matrix @ basis
         sub = eigendecompose(HermitianOperator((block + block.conj().T) / 2))
         for j0, j1 in _clusters(sub.eigenvalues):
             joint = basis @ sub.eigenvectors[:, j0:j1]
             t += label * (joint @ joint.conj().T)
             f_table[label] = r_val
-            g_table[label] = float(np.mean(sub.eigenvalues[j0:j1]))
+            g_table[label] = _nearest(spec_s.eigenvalues, np.mean(sub.eigenvalues[j0:j1]))
             label += 1
     return CommonGenerator(HermitianOperator(t), f_table, g_table)
 
@@ -310,24 +315,15 @@ def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabili
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    if r.dim != s.dim:
-        raise ValidationError(f"dimension mismatch: {r.dim} vs {s.dim}")
     bindings = {"R": r, "S": s}
     cnorm = commutator_norm(r, s)
     cross = frobenius(evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
     square = frobenius(evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
-    if cnorm <= tol * max(1.0, r.norm() * s.norm()):
-        return JointMeasurabilityVerdict(
-            jointly_measurable=True,
-            commutator_norm=cnorm,
-            commutator_square_norm=cross,
-            square_product_deficit_norm=square,
-            generator=common_generator(r, s, tol=tol),
-        )
+    jointly = commutes(r, s, tol)
     return JointMeasurabilityVerdict(
-        jointly_measurable=False,
+        jointly_measurable=jointly,
         commutator_norm=cnorm,
         commutator_square_norm=cross,
         square_product_deficit_norm=square,
-        generator=None,
+        generator=common_generator(r, s, tol=tol) if jointly else None,
     )

@@ -372,6 +372,20 @@ class TestCliCommands:
         code, _, _ = run(capsys, "dispersion-witness", "--density", f"@{path}")
         assert code == 2
 
+    def test_bad_density_boolean_cell(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"dim": 1, "entries": [[[true, false]]]}')
+        code, out, _ = run(
+            capsys, "dispersion-witness", "--density", f"@{path}", "--format", "json",
+        )
+        assert code == 2
+        data = json.loads(out)
+        assert data["schema"] == 1
+        assert data["command"] == "dispersion-witness"
+        assert data["passed"] is False
+        assert data["error"]["type"] == "ValidationError"
+        assert "real numbers" in data["error"]["message"]
+
     def test_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps([[1.0, 0.0], [1.0, 0.0]]))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import dispersionless.expectation_functionals as ef
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
     DensityMatrix,
@@ -125,6 +126,22 @@ class TestReconstruction:
             out = reconstruct_density(trace_functional(u0))
             assert frobenius(out.matrix - u0.matrix) <= 1e-10
 
+    def test_one_eigendecomposition_per_reconstruction(self, monkeypatch):
+        u0 = DensityMatrix.random(3, RNG(4))
+        f = trace_functional(u0)
+        calls = []
+        original = ef.eigendecompose
+
+        def counting(op):
+            calls.append(op)
+            return original(op)
+
+        monkeypatch.setattr(ef, "eigendecompose", counting)
+        out = reconstruct_density(f)
+        assert len(calls) == 1
+        assert frobenius(out.matrix - u0.matrix) <= 1e-10
+        assert frobenius(out.spectrum.reconstruct() - out.matrix) <= 1e-12
+
     def test_pure_state_functional(self):
         out = reconstruct_density(pure_state_functional(PureState.from_label("z+")))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
@@ -221,6 +238,17 @@ class TestDispersionWitness:
         witness, d = dispersion_witness(u)
         assert abs(d - 0.25) <= 1e-12
         np.testing.assert_allclose(witness.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_between_p_and_one_minus_p_takes_lower(self, seed):
+        # 0.3 and 0.7 are equally far from 1/2; rounding must not decide
+        rng = RNG(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        m = q @ np.diag([0.7, 0.3]) @ q.conj().T
+        u = DensityMatrix((m + m.conj().T) / 2)
+        witness, d = dispersion_witness(u)
+        assert abs(np.trace(u.matrix @ witness.matrix).real - 0.3) <= 1e-12
+        assert abs(d - 0.21) <= 1e-12
 
     def test_pure_dim3(self):
         u = DensityMatrix(np.diag([1.0, 0.0, 0.0]))

@@ -1,8 +1,8 @@
-"""Matrix-core tests: Jacobi eigensolver, functional calculus, commutators.
+"""Matrix-core tests: eigendecomposition, functional calculus, commutators.
 
-Oracles used here are independent of the code under test: the closed-form
-2x2 eigenvalue formula, explicit matrix powers, and numpy.linalg.eigh as a
-cross-check solver.
+eigendecompose is LAPACK's eigh, so no oracle here calls a solver: they are
+the closed-form 2x2 eigenvalue formula and explicit matrix powers (power
+sums tr(A^k) and matrix polynomials).
 """
 
 import math
@@ -12,7 +12,6 @@ import pytest
 
 from dispersionless.operator_core import (
     COMM_TOL,
-    EIG_TOL,
     FUNCALC_TOL,
     FunctionDomainError,
     HermitianOperator,
@@ -35,6 +34,8 @@ from dispersionless.operator_core import (
 )
 
 RNG = np.random.default_rng
+# residual bound for reconstruction and orthonormality of an eigensystem
+EIG_TOL = 1e-10
 
 
 def pauli_xy_eigs(x, y):
@@ -112,12 +113,19 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
     def test_matches_lapack_eigenvalues(self, dim):
+        # oracle: tr(A^k) = sum of eigenvalue^k for k = 1..dim, from explicit
+        # matrix powers; by Newton's identities these fix the whole spectrum
         rng = RNG(200 + dim)
         for _ in range(20):
             op = random_hermitian(dim, rng)
             spec = eigendecompose(op)
-            reference = np.linalg.eigvalsh(op.matrix)
-            np.testing.assert_allclose(spec.eigenvalues, reference, atol=1e-11)
+            assert len(spec.eigenvalues) == dim
+            power = identity(dim)
+            for k in range(1, dim + 1):
+                power = power @ op.matrix
+                expected = np.trace(power).real
+                got = float(np.sum(spec.eigenvalues ** k))
+                assert abs(got - expected) <= 1e-11 * max(1.0, op.norm()) ** k
 
     def test_eigenvalues_sorted_ascending(self):
         rng = RNG(7)
@@ -277,6 +285,15 @@ class TestMatrixJson:
             matrix_from_json({"dim": 1, "entries": [[[1, 0, 0]]]})
         with pytest.raises(ValidationError):
             matrix_from_json({"dim": 1, "entries": [["ab"]]})
+
+    def test_rejects_json_booleans(self):
+        # bool is a numbers.Real in Python, but true/false are not matrix entries
+        with pytest.raises(ValidationError):
+            matrix_from_json({"dim": 1, "entries": [[[True, False]]]})
+        with pytest.raises(ValidationError):
+            matrix_from_json({"dim": 1, "entries": [[[1.0, False]]]})
+        with pytest.raises(ValidationError):
+            matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})
 
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError):
