@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .operator_core import (
     COMM_TOL,
     HermitianOperator,
     ValidationError,
+    complex_from_pair,
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
@@ -84,6 +86,9 @@ class RunConfig:
             raise CliInputError("--trials must be at least 1")
         if args.lambda_grid_size < 2:
             raise CliInputError("--lambda-grid-size must be at least 2")
+        for flag, tol in (("--lin-tol", args.lin_tol), ("--comm-tol", args.comm_tol)):
+            if not 0.0 < tol < math.inf:
+                raise CliInputError(f"{flag} must be finite and positive, got {tol!r}")
         return cls(
             seed=seed,
             trials=args.trials,
@@ -159,9 +164,8 @@ def state_from_spec(spec: str) -> PureState:
                 f"state file {spec[1:]!r} must hold a JSON list of [re, im] pairs"
             )
         try:
-            vec = [complex(float(re), float(im)) for re, im in obj]
-            return PureState.normalized(vec)
-        except (TypeError, ValueError, ValidationError) as exc:
+            return PureState.normalized([complex_from_pair(cell) for cell in obj])
+        except ValidationError as exc:
             raise CliInputError(f"bad state vector in {spec[1:]!r}: {exc}") from exc
     try:
         return PureState.from_label(spec)
@@ -336,10 +340,7 @@ def cmd_hv_demo(args, config: RunConfig) -> int:
     phi = state_from_spec(args.phi)
     a = parse_hermitian(args.a)
     b = parse_hermitian(args.b)
-    report = additivity_violation_report(
-        phi, a, b, lambda_grid(config.lambda_grid_size),
-        description_r=args.a, description_s=args.b,
-    )
+    report = additivity_violation_report(phi, a, b, lambda_grid(config.lambda_grid_size))
     lines = [
         f"subensemble outcomes for phi={args.phi}, R={args.a}, S={args.b} "
         f"over {config.lambda_grid_size} lambda points:",

@@ -1,12 +1,17 @@
 """An explicit dispersion-free subensemble model for a single qubit.
 
-Each hidden parameter value selects, for every measurement axis, one of the
-two eigenprojectors; the assigned outcome is the operator's eigenvalue on
-the selected projector.  Every assignment is spectrum-valued and
-dispersion-free, the uniform average over the parameter reproduces the
-quantum expectation exactly, and additivity of outcomes fails pointwise
-for non-commuting pairs while holding after averaging: recombination, not
-the individual subensembles, carries the quantum statistics.
+An operator splits as base + weight * (axis . sigma), with the axis signed
+so that its first component above roundoff is positive.  The hidden
+parameter lambda reads the outcome base + weight * s, where s = +1 when
+lambda + (Bloch . axis) / 2 >= 0 and -1 otherwise.  Both rules forgive
+DELTA_TOL: roundoff in a vanishing axis component cannot flip the axis
+sign, and a threshold that lands on the tie up to roundoff reads +1, so
+an eigenstate always reads its own eigenvalue.  Every assignment is
+spectrum-valued and dispersion-free, the uniform average over the
+parameter reproduces the quantum expectation exactly, and additivity of
+outcomes fails pointwise for non-commuting pairs while holding after
+averaging: recombination, not the individual subensembles, carries the
+quantum statistics.
 
 The model is qubit-only by construction; higher dimensions are refused at
 the boundary rather than silently mishandled.
@@ -21,14 +26,16 @@ import numpy as np
 from .expectation_functionals import ExpectationFunctional, PureState, pure_state_expectation
 from .operator_core import (
     HermitianOperator,
-    PAULIS,
     ValidationError,
     as_hermitian,
 )
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
-# per-sample deltas above this count as additivity violations in reports
+# roundoff allowance of the model: per-sample deltas above it count as
+# additivity violations, axis components at or below it (relative to the
+# norm) do not fix the axis sign, and thresholds within it of the tie
+# read +1
 DELTA_TOL = 1e-9
 
 
@@ -66,64 +73,62 @@ def _axis_decomposition(op: HermitianOperator):
     """Split a 2x2 Hermitian operator into trace part, signed weight, and axis.
 
     The axis is the canonical representative of the Pauli direction: its
-    first nonzero component is positive, and the weight carries the sign.
-    All operators sharing one measurement axis therefore share one axis
-    vector, so the selector below treats them with a single sign variable.
+    first component larger than DELTA_TOL (the axis has unit norm) is
+    positive, and the weight carries the sign.  All operators sharing one
+    measurement axis, up to roundoff in the other components, therefore
+    share one sign variable.
     """
     m = op.matrix
     base = float(np.trace(m).real) / 2.0
-    v = np.array([float(np.trace(m @ s).real) / 2.0 for s in PAULIS])
+    # Pauli coefficients tr(m sigma_k) / 2, read off the entries
+    v = np.array([m[0, 1].real + m[1, 0].real, m[1, 0].imag - m[0, 1].imag,
+                  m[0, 0].real - m[1, 1].real]) / 2.0
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return base, 0.0, np.zeros(3)
     axis = v / norm
-    weight = norm
-    for component in axis:
-        if component > 0.0:
-            break
-        if component < 0.0:
-            axis = -axis
-            weight = -norm
-            break
-    return base, weight, axis
+    # a unit 3-vector has a component of size >= 1/sqrt(3), so one exists
+    if axis[np.abs(axis) > DELTA_TOL][0] < 0.0:
+        return base, -norm, -axis
+    return base, norm, axis
 
 
-def _selector(phi: PureState, lam: float, axis: np.ndarray) -> float:
-    # sign(0) is +1 by convention; the tie set has measure zero and never
-    # moves an average
-    threshold = lam + 0.5 * float(phi.bloch() @ axis)
-    return 1.0 if threshold >= 0.0 else -1.0
+def _outcomes(phi: PureState, lams, op: HermitianOperator):
+    """Outcomes of op at each lambda, and their closed-form average over lambda."""
+    base, weight, axis = _axis_decomposition(op)
+    # the sign integrates to (Bloch . axis) over the parameter range
+    projection = float(phi.bloch() @ axis)
+    # sign(0) is +1 by convention, and thresholds within DELTA_TOL of the
+    # tie count as 0; the tie set has measure zero and never moves an average
+    signs = np.where(lams + 0.5 * projection >= -DELTA_TOL, 1.0, -1.0)
+    return base + weight * signs, base + weight * projection
 
 
 def assign_value(phi: PureState, lam, r) -> float:
     """Deterministic outcome of measuring r in the subensemble (phi, lam).
 
     The operator splits as base + weight * (axis . sigma); the returned
-    value is base + weight * s with s the selector sign for that axis, i.e.
+    value is base + weight * s with s the sign for that axis, i.e.
     always one of the two eigenvalues.  Multiples of the identity just
     return their scale.
     """
     r = as_hermitian(r)
     _require_qubit(r.dim)
     _require_qubit(phi.dim)
-    lam = _lambda_value(lam)
-    base, weight, axis = _axis_decomposition(r)
-    if weight == 0.0:
-        return base
-    return base + weight * _selector(phi, lam, axis)
+    return float(_outcomes(phi, _lambda_value(lam), r)[0])
 
 
 def average_over_lambda(phi: PureState, r) -> float:
     """Closed-form uniform average of assign_value over the parameter range.
 
-    The selector integrates to (Bloch . axis), so the average collapses to
-    the quantum expectation of r in phi; no sampling is involved.
+    It collapses to the quantum expectation of r in phi; no sampling is
+    involved.
     """
     r = as_hermitian(r)
     _require_qubit(r.dim)
     _require_qubit(phi.dim)
-    base, weight, axis = _axis_decomposition(r)
-    return base + weight * float(phi.bloch() @ axis)
+    # the average does not depend on the lambda passed
+    return _outcomes(phi, LAMBDA_MIN, r)[1]
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ class ValueAssignment:
     """The outcome map of one (phi, lambda) subensemble.
 
     Spectrum-valued and dispersion-free: squares (and any readout function)
-    of an operator share its axis, hence its selector sign, so outcomes
+    of an operator share its axis, hence its sign, so outcomes
     compose through functions instead of merely averaging correctly.
     """
 
@@ -189,8 +194,6 @@ class SubensembleReport:
     """
 
     phi: PureState
-    description_r: str
-    description_s: str
     samples: tuple[LambdaSample, ...]
     average_r: float
     average_s: float
@@ -228,14 +231,7 @@ class SubensembleReport:
         }
 
 
-def additivity_violation_report(
-    phi: PureState,
-    r,
-    s,
-    lambdas,
-    description_r: str = "R",
-    description_s: str = "S",
-) -> SubensembleReport:
+def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleReport:
     """Tabulate outcome additivity of r, s, and r + s across subensembles.
 
     The sum is formed at the operator level, the only meaning available
@@ -248,25 +244,17 @@ def additivity_violation_report(
     _require_qubit(s.dim)
     _require_qubit(phi.dim)
     combined = r + s
-    samples = []
-    for lam in lambdas:
-        lam = _lambda_value(lam)
-        samples.append(
-            LambdaSample(
-                lam=lam,
-                value_r=assign_value(phi, lam, r),
-                value_s=assign_value(phi, lam, s),
-                value_sum=assign_value(phi, lam, combined),
-            )
-        )
+    lams = np.array([_lambda_value(lam) for lam in lambdas], dtype=float)
+    (vr, avg_r), (vs, avg_s), (vsum, avg_sum) = (
+        _outcomes(phi, lams, op) for op in (r, s, combined)
+    )
+    rows = zip(lams.tolist(), vr.tolist(), vs.tolist(), vsum.tolist())
     return SubensembleReport(
         phi=phi,
-        description_r=description_r,
-        description_s=description_s,
-        samples=tuple(samples),
-        average_r=average_over_lambda(phi, r),
-        average_s=average_over_lambda(phi, s),
-        average_sum=average_over_lambda(phi, combined),
+        samples=tuple(LambdaSample(*row) for row in rows),
+        average_r=avg_r,
+        average_s=avg_s,
+        average_sum=avg_sum,
         quantum_r=pure_state_expectation(phi, r),
         quantum_s=pure_state_expectation(phi, s),
         quantum_sum=pure_state_expectation(phi, combined),

@@ -321,33 +321,28 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def complex_from_pair(cell) -> complex:
+    """One [re, im] pair of the wire format (matrix cells, state entries)."""
+    if (not isinstance(cell, Sequence)) or isinstance(cell, str) or len(cell) != 2:
+        raise ValidationError("JSON entries must be [re, im] pairs")
+    # JSON true/false parse to bool, which Python counts as numbers.Real
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in cell):
+        raise ValidationError("JSON [re, im] parts must be real numbers")
+    return complex(float(cell[0]), float(cell[1]))
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the shared matrix wire format, rejecting non-square or ragged data."""
     if not isinstance(obj, Mapping):
         raise ValidationError("matrix JSON must be an object with 'dim' and 'entries'")
-    if isinstance(obj.get("dim"), bool):
+    dim, entries = obj.get("dim"), obj.get("entries")
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValidationError("matrix JSON 'dim' must be an integer")
-    try:
-        dim = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if dim < 1:
         raise ValidationError("matrix JSON 'dim' must be at least 1")
     if not isinstance(entries, Sequence) or len(entries) != dim:
         raise ValidationError("matrix JSON 'entries' must have exactly 'dim' rows")
-    rows = []
     for row in entries:
         if not isinstance(row, Sequence) or len(row) != dim:
             raise ValidationError("matrix JSON rows must each have exactly 'dim' cells")
-        cells = []
-        for cell in row:
-            if (not isinstance(cell, Sequence)) or isinstance(cell, str) or len(cell) != 2:
-                raise ValidationError("matrix JSON cells must be [re, im] pairs")
-            re, im = cell
-            # JSON true/false parse to bool, which Python counts as numbers.Real
-            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in cell):
-                raise ValidationError("matrix JSON cell parts must be real numbers")
-            cells.append(complex(float(re), float(im)))
-        rows.append(cells)
-    return as_square_matrix(rows)
+    return as_square_matrix([[complex_from_pair(cell) for cell in row] for row in entries])

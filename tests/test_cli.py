@@ -386,6 +386,40 @@ class TestCliCommands:
         assert data["error"]["type"] == "ValidationError"
         assert "real numbers" in data["error"]["message"]
 
+    def test_state_file_boolean_entries(self, capsys, tmp_path):
+        path = tmp_path / "bool_state.json"
+        path.write_text("[[true, false], [false, false]]")
+        code, out, _ = run(
+            capsys, "hv-demo", "--phi", f"@{path}", "--a", "SX", "--b", "SY",
+            "--format", "json",
+        )
+        assert code == 2
+        data = json.loads(out)
+        assert data["passed"] is False
+        assert "real numbers" in data["error"]["message"]
+
+    def test_density_fractional_dim(self, capsys, tmp_path):
+        path = tmp_path / "dim.json"
+        path.write_text('{"dim": 1.9, "entries": [[[1, 0]]]}')
+        code, out, _ = run(
+            capsys, "dispersion-witness", "--density", f"@{path}", "--format", "json",
+        )
+        assert code == 2
+        data = json.loads(out)
+        assert data["error"]["type"] == "ValidationError"
+        assert "integer" in data["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "--functional", "hv:z+:0.3", "--lin-tol", "nan"),
+        ("reconstruct", "--functional", "maxeig", "--lin-tol", "-1"),
+        ("jointmeas", "--a", "SZ", "--b", "2*SZ", "--comm-tol", "nan"),
+    ], ids=["lin-tol-nan", "lin-tol-negative", "comm-tol-nan"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{argv[-2]} must be finite and positive" in err
+
     def test_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps([[1.0, 0.0], [1.0, 0.0]]))

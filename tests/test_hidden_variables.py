@@ -2,13 +2,18 @@
 
 Oracles: eigenvalues from numpy.linalg.eigvalsh for spectrum membership,
 a midpoint Riemann sum as an independent check on the closed-form average,
-and hand-worked outcome tables for the structured examples.
+hand-worked outcome tables for the structured examples, and readout rules
+applied to outcomes for functional composition.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from dispersionless import hidden_variables
 
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
@@ -30,16 +35,32 @@ from dispersionless.hidden_variables import (
 )
 from dispersionless.operator_core import (
     HermitianOperator,
+    RealFunction,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     ValidationError,
+    apply_function,
     identity,
     random_hermitian,
 )
 
 RNG = np.random.default_rng
 Z_PLUS = PureState.from_label("z+")
+
+# axes with exactly-zero Pauli components, where roundoff once picked the sign
+ZERO_COMPONENT_AXES = {
+    "SX+SY": SIGMA_X + SIGMA_Y,
+    "SY-SZ": SIGMA_Y - SIGMA_Z,
+    "SX-SZ": SIGMA_X - SIGMA_Z,
+    "SY": SIGMA_Y,
+}
+OUTCOME_MAPS = {
+    "-x": lambda x: -x,
+    "|x|": abs,
+    "x^2": lambda x: x * x,
+    "x^3-x": lambda x: x**3 - x,
+}
 
 
 def random_qubit_state(rng):
@@ -131,6 +152,45 @@ class TestAssignValue:
             assert abs(direct - through_outcome) <= 1e-9
 
 
+    def test_roundoff_in_an_axis_component_does_not_flip_outcomes(self):
+        # z+ has Bloch vector (0, 0, 1), so a y-axis threshold is lambda itself
+        for op in (SIGMA_Y, SIGMA_Y - 1e-15 * SIGMA_X):
+            outcomes = [assign_value(Z_PLUS, lam, HermitianOperator(op)) for lam in (-0.3, 0.3)]
+            assert outcomes == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("label, op", [
+        ("x+", SIGMA_X), ("y+", SIGMA_Y), ("z+", SIGMA_Z),
+    ])
+    def test_cardinal_eigenstates_read_plus_one_everywhere(self, label, op):
+        # the threshold lambda + 1/2 is 0 at lambda = -1/2: the tie reads +1
+        phi = PureState.from_label(label)
+        op = HermitianOperator(op)
+        grid = lambda_grid(11)
+        assert [assign_value(phi, lam, op) for lam in grid] == [1.0] * 11
+        report = additivity_violation_report(phi, op, op, grid)
+        assert [sample.value_r for sample in report.samples] == [1.0] * 11
+
+    @given(
+        label=st.sampled_from(["z+", "z-", "x+", "x-", "y+", "y-"]),
+        axis=st.sampled_from(sorted(ZERO_COMPONENT_AXES)),
+        a=st.sampled_from([-2.5, -1.0, 0.5, 1.0, 3.0]),
+        c=st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+        f=st.sampled_from(sorted(OUTCOME_MAPS)),
+        lam=st.integers(1, 12).flatmap(
+            lambda n: st.sampled_from([g.value for g in lambda_grid(2 * n + 1)])
+        ),
+    )
+    @example(label="z+", axis="SX+SY", a=1.0, c=0.0, f="-x", lam=0.0)
+    def test_outcomes_compose_with_readout_functions(self, label, axis, a, c, f, lam):
+        phi = PureState.from_label(label)
+        rule = OUTCOME_MAPS[f]
+        op = HermitianOperator(a * ZERO_COMPONENT_AXES[axis] + c * identity(2))
+        mapped = apply_function(RealFunction.from_rule(rule, label=f), op)
+        assert assign_value(phi, lam, mapped) == pytest.approx(
+            rule(assign_value(phi, lam, op)), abs=1e-9
+        )
+
+
 class TestAverageOverLambda:
     def test_eigenstate(self):
         assert average_over_lambda(Z_PLUS, HermitianOperator(SIGMA_Z)) == 1.0
@@ -215,6 +275,39 @@ class TestAdditivityReport:
         assert abs(report.average_r - report.quantum_r) <= 1e-12
         assert abs(report.average_s - report.quantum_s) <= 1e-12
         assert abs(report.average_sum - report.quantum_sum) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_pointwise_assignment(self, seed):
+        # the per-point loop is the reference for the array evaluation
+        rng = RNG(1200 + seed)
+        phi = random_qubit_state(rng)
+        r, s = random_hermitian(2, rng), random_hermitian(2, rng)
+        grid = lambda_grid(101)
+        report = additivity_violation_report(phi, r, s, grid)
+        for lam, sample in zip(grid, report.samples):
+            assert sample.lam == lam.value
+            assert sample.value_r == assign_value(phi, lam, r)
+            assert sample.value_s == assign_value(phi, lam, s)
+            assert sample.value_sum == assign_value(phi, lam, r + s)
+        assert report.average_sum == average_over_lambda(phi, r + s)
+
+    def test_one_decomposition_per_operator(self, monkeypatch):
+        calls = []
+        original = hidden_variables._axis_decomposition
+
+        def counting(op):
+            calls.append(op)
+            return original(op)
+
+        monkeypatch.setattr(hidden_variables, "_axis_decomposition", counting)
+        r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
+        for size in (2, 11, 500):
+            calls.clear()
+            additivity_violation_report(Z_PLUS, r, s, lambda_grid(size))
+            assert len(calls) == 3
+        calls.clear()
+        assign_value(Z_PLUS, 0.1, r)
+        assert len(calls) == 1
 
     def test_json_schema(self):
         report = additivity_violation_report(

@@ -295,6 +295,12 @@ class TestMatrixJson:
         with pytest.raises(ValidationError):
             matrix_from_json({"dim": True, "entries": [[[1.0, 0.0]]]})
 
+    def test_rejects_non_integer_dim(self):
+        # int() would truncate 1.9 to a 1x1 matrix
+        for dim in (1.9, 1.0, "1", None):
+            with pytest.raises(ValidationError, match="integer"):
+                matrix_from_json({"dim": dim, "entries": [[[1, 0]]]})
+
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1, 0]])
