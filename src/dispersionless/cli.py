@@ -54,6 +54,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# input limits, checked before anything is allocated: a reconstruct
+# transcript alone holds dim^4 JSON cells
+MAX_DIM = 32
+MAX_TRIALS = 10_000
+MAX_LAMBDA_GRID_SIZE = 1_000_000
+
 
 class CliInputError(Exception):
     """Bad command-line input outside the expression language."""
@@ -84,8 +90,12 @@ class RunConfig:
                     ) from None
         if args.trials < 1:
             raise CliInputError("--trials must be at least 1")
+        if args.trials > MAX_TRIALS:
+            raise CliInputError(f"--trials must be at most {MAX_TRIALS}")
         if args.lambda_grid_size < 2:
             raise CliInputError("--lambda-grid-size must be at least 2")
+        if args.lambda_grid_size > MAX_LAMBDA_GRID_SIZE:
+            raise CliInputError(f"--lambda-grid-size must be at most {MAX_LAMBDA_GRID_SIZE}")
         for flag, tol in (("--lin-tol", args.lin_tol), ("--comm-tol", args.comm_tol)):
             if not 0.0 < tol < math.inf:
                 raise CliInputError(f"{flag} must be finite and positive, got {tol!r}")
@@ -117,8 +127,8 @@ def _emit(config: RunConfig, payload: dict, lines: list[str]):
             print(line)
 
 
-def _emit_error(config: RunConfig, command: str, exc: Exception, code: int) -> int:
-    if config.output_format == "json":
+def _emit_error(output_format: str, command: str, exc: Exception, code: int) -> int:
+    if output_format == "json":
         _print_json(_payload(
             command,
             passed=False,
@@ -230,6 +240,10 @@ def cmd_verify_appendix1(args, config: RunConfig) -> int:
 
 def cmd_reconstruct(args, config: RunConfig) -> int:
     functional, label = functional_from_spec(args.functional, args.dim)
+    if functional.dim > MAX_DIM:
+        raise CliInputError(
+            f"reconstruct handles dimension at most {MAX_DIM}, got {functional.dim}"
+        )
     transcript = [
         {"probe": matrix_to_json(op.matrix), "value": functional(op)}
         for op in hermitian_basis(functional.dim)
@@ -383,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help=f"random seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     common.add_argument("--trials", type=int, default=32,
-                        help="random probe count for functional checks")
+                        help=f"random probe count for functional checks (1 to {MAX_TRIALS})")
     common.add_argument("--lambda-grid-size", type=int, default=1000,
-                        help="grid points for subensemble reports")
+                        help=f"grid points for subensemble reports (2 to {MAX_LAMBDA_GRID_SIZE})")
     common.add_argument("--lin-tol", type=float, default=LIN_TOL,
                         help="tolerance for additivity and normalization checks")
     common.add_argument("--comm-tol", type=float, default=COMM_TOL,
@@ -411,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", required=True,
                    help="trace:@file | pure:<state> | maxeig | hv:<state>:<lambda>")
     p.add_argument("--dim", type=int, default=2,
-                   help="dimension for functionals that need one (maxeig)")
+                   help="dimension for functionals that need one (maxeig); reconstruct "
+                        f"handles dimension at most {MAX_DIM}, matrix files included")
 
     p = sub.add_parser(
         "dispersion-witness", parents=[common],
@@ -451,14 +466,9 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
-        config = RunConfig.from_args(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return HANDLERS[args.command](args, config)
+        return HANDLERS[args.command](args, RunConfig.from_args(args))
     except (ExprError, CliInputError, ValidationError) as exc:
-        return _emit_error(config, args.command, exc, EXIT_USAGE)
+        return _emit_error(args.output_format, args.command, exc, EXIT_USAGE)
 
 
 def main():

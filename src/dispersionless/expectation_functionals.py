@@ -11,6 +11,7 @@ dimension two or more.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -305,7 +306,8 @@ def trace_functional(u, label: str = "") -> ExpectationFunctional:
     op = u.operator if isinstance(u, DensityMatrix) else as_hermitian(u)
     return ExpectationFunctional(
         op.dim,
-        lambda r: float(np.trace(op.matrix @ r.matrix).real),
+        # vdot(r, u) = sum conj(r_ij) u_ij = tr(u r) for Hermitian r, in O(d^2)
+        lambda r: float(np.vdot(r.matrix, op.matrix).real),
         label=label or "trace-form",
     )
 
@@ -325,6 +327,26 @@ def max_eigenvalue_functional(dim: int) -> ExpectationFunctional:
     )
 
 
+def _basis_elements(dim: int):
+    # hermitian_basis order, one element at a time, for reconstruct_density
+    if dim < 1:
+        raise ValidationError("dimension must be at least 1")
+    for n in range(dim):
+        p = np.zeros((dim, dim), dtype=np.complex128)
+        p[n, n] = 1.0
+        yield HermitianOperator(p)
+    for m in range(dim):
+        for n in range(m + 1, dim):
+            a = np.zeros((dim, dim), dtype=np.complex128)
+            a[m, n] = 1.0
+            a[n, m] = 1.0
+            yield HermitianOperator(a)
+            b = np.zeros((dim, dim), dtype=np.complex128)
+            b[m, n] = 1.0j
+            b[n, m] = -1.0j
+            yield HermitianOperator(b)
+
+
 def hermitian_basis(dim: int) -> list[HermitianOperator]:
     """Basis of the real vector space of Hermitian dim x dim matrices.
 
@@ -332,24 +354,7 @@ def hermitian_basis(dim: int) -> list[HermitianOperator]:
     real and imaginary cross terms |m><n| + |n><m| and i(|m><n| - |n><m|):
     dim^2 operators in total.
     """
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
-    ops = []
-    for n in range(dim):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[n, n] = 1.0
-        ops.append(HermitianOperator(p))
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            a = np.zeros((dim, dim), dtype=np.complex128)
-            a[m, n] = 1.0
-            a[n, m] = 1.0
-            ops.append(HermitianOperator(a))
-            b = np.zeros((dim, dim), dtype=np.complex128)
-            b[m, n] = 1.0j
-            b[n, m] = -1.0j
-            ops.append(HermitianOperator(b))
-    return ops
+    return list(_basis_elements(dim))
 
 
 def canonical_noncommuting_probes(dim: int) -> list[HermitianOperator]:
@@ -394,27 +399,24 @@ def reconstruct_density(
     if abs(norm_value - 1.0) > lin_tol:
         raise NormalizationViolation(norm_value)
 
-    basis = hermitian_basis(dim)
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim):
-        u[n, n] = f(basis[n])
-    k = dim
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            real_part = f(basis[k])
-            imag_part = f(basis[k + 1])
-            u[m, n] = (real_part + 1j * imag_part) / 2.0
-            u[n, m] = u[m, n].conjugate()
-            k += 2
+    values = [f(op) for op in _basis_elements(dim)]
+    u = np.diag(np.array(values[:dim], dtype=np.complex128))
+    rows, cols = np.triu_indices(dim, 1)
+    upper = (np.array(values[dim::2]) + 1j * np.array(values[dim + 1::2])) / 2.0
+    u[rows, cols] = upper
+    u[cols, rows] = upper.conj()
     u_op = HermitianOperator(u)
 
+    # drawn lazily, so a violation on an early probe stops the random draws
     rng = np.random.default_rng(seed)
-    probes = [HermitianOperator(identity(dim))]
-    probes += canonical_noncommuting_probes(dim)
-    probes += [random_hermitian(dim, rng) for _ in range(probe_count)]
+    probes = itertools.chain(
+        [HermitianOperator(identity(dim))],
+        canonical_noncommuting_probes(dim),
+        (random_hermitian(dim, rng) for _ in range(probe_count)),
+    )
     for probe in probes:
         lhs = f(probe)
-        rhs = float(np.trace(u_op.matrix @ probe.matrix).real)
+        rhs = float(np.vdot(probe.matrix, u).real)
         if abs(lhs - rhs) > lin_tol:
             raise AdditivityViolation(probe, lhs, rhs)
 

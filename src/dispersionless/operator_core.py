@@ -49,7 +49,7 @@ def as_square_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
 
@@ -89,7 +89,8 @@ class HermitianOperator:
             return
         m = as_square_matrix(matrix)
         deviation = frobenius(m - m.conj().T)
-        if deviation > HERM_TOL * max(1.0, frobenius(m)):
+        # the verdict of deviation > HERM_TOL * max(1, |m|), taking |m| only when needed
+        if deviation > HERM_TOL and deviation > HERM_TOL * frobenius(m):
             raise ValidationError(
                 f"matrix is not Hermitian (deviation {deviation:.3e})"
             )

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import dispersionless.cli as cli
 from dispersionless.cli import run_command
 from dispersionless.expressions import (
     BinOp,
@@ -200,6 +201,25 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_error_document(out, command, message):
+    data = json.loads(out)
+    assert data == {
+        "schema": 1,
+        "command": command,
+        "passed": False,
+        "error": {"type": "CliInputError", "message": data["error"]["message"]},
+    }
+    assert message in data["error"]["message"]
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the first allocation a command makes."""
+
+
+def _reached(*_):
+    raise _Reached
 
 
 def write_density(tmp_path, matrix, name="u.json"):
@@ -419,6 +439,58 @@ class TestCliCommands:
         assert code == 2
         assert out == ""
         assert f"{argv[-2]} must be finite and positive" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("reconstruct", "--functional", "pure:z+", "--trials", "0"), "--trials must be at least 1"),
+        (("hv-demo", "--phi", "z+", "--a", "SX", "--b", "SY", "--lambda-grid-size", "1"),
+         "--lambda-grid-size must be at least 2"),
+        (("reconstruct", "--functional", "hv:z+:0.3", "--lin-tol", "nan"),
+         "--lin-tol must be finite and positive"),
+        (("jointmeas", "--a", "SZ", "--b", "2*SZ", "--comm-tol", "nan"),
+         "--comm-tol must be finite and positive"),
+    ], ids=["trials-0", "grid-1", "lin-tol-nan", "comm-tol-nan"])
+    def test_argument_errors_as_json(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (2, "")
+        assert_error_document(out, argv[0], message)
+
+    def test_bad_seed_env_as_json(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISPERSIONLESS_SEED", "not-a-number")
+        code, out, err = run(capsys, "spectrum", "--expr", "SZ", "--format", "json")
+        assert (code, err) == (2, "")
+        assert_error_document(out, "spectrum", "DISPERSIONLESS_SEED must be an integer")
+
+    @pytest.mark.parametrize("argv, flag, limit, message", [
+        (("reconstruct", "--functional", "maxeig"), "--dim", 32,
+         "reconstruct handles dimension at most 32"),
+        (("reconstruct", "--functional", "pure:z+"), "--trials", 10_000,
+         "--trials must be at most 10000"),
+        (("hv-demo", "--phi", "z+", "--a", "SX", "--b", "SY"), "--lambda-grid-size", 1_000_000,
+         "--lambda-grid-size must be at most 1000000"),
+    ], ids=["dim", "trials", "grid"])
+    def test_input_limits(self, capsys, monkeypatch, argv, flag, limit, message):
+        # the limit itself gets as far as building the basis or the grid;
+        # one above it is refused before either is built
+        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        monkeypatch.setattr(cli, "lambda_grid", _reached)
+        with pytest.raises(_Reached):
+            run_command([*argv, flag, str(limit)])
+        code, out, err = run(capsys, *argv, flag, str(limit + 1))
+        assert (code, out) == (2, "")
+        assert message in err
+        code, out, err = run(capsys, *argv, flag, str(limit + 1), "--format", "json")
+        assert (code, err) == (2, "")
+        assert_error_document(out, argv[0], message)
+
+    def test_trace_file_dimension_limit(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(matrix_to_json(identity(33) / 33)))
+        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        code, out, _ = run(
+            capsys, "reconstruct", "--functional", f"trace:@{path}", "--format", "json",
+        )
+        assert code == 2
+        assert_error_document(out, "reconstruct", "dimension at most 32, got 33")
 
     def test_state_from_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"

@@ -7,6 +7,7 @@ sqrt(2), not 2).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import dispersionless.expectation_functionals as ef
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
+    DEFAULT_PROBE_COUNT,
     DensityMatrix,
     ExpectationFunctional,
     LIN_TOL,
@@ -38,6 +40,7 @@ from dispersionless.operator_core import (
     SIGMA_Z,
     ValidationError,
     frobenius,
+    identity,
     random_hermitian,
 )
 
@@ -142,6 +145,58 @@ class TestReconstruction:
         assert frobenius(out.matrix - u0.matrix) <= 1e-10
         assert frobenius(out.spectrum.reconstruct() - out.matrix) <= 1e-12
 
+    def test_holds_one_basis_element_at_a_time(self):
+        # all d^2 basis matrices of d = 32 together take 16 MB
+        u0 = DensityMatrix.random(32, RNG(6))
+        f = trace_functional(u0)
+        tracemalloc.start()
+        try:
+            out = reconstruct_density(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert frobenius(out.matrix - u0.matrix) <= 1e-10
+
+    def test_probe_sequence(self):
+        # identity, the canonical triple, then the seeded draws, in that order
+        dim, seed = 3, 17
+        u0 = DensityMatrix.random(dim, RNG(8))
+        seen = []
+
+        def recording(r):
+            seen.append(r.matrix)
+            return np.trace(u0.matrix @ r.matrix).real
+
+        reconstruct_density(ExpectationFunctional(dim, recording), probe_count=5, seed=seed)
+        rng = RNG(seed)
+        expected = [identity(dim)]
+        expected += [p.matrix for p in canonical_noncommuting_probes(dim)]
+        expected += [random_hermitian(dim, rng).matrix for _ in range(5)]
+        assert len(seen) == dim * dim + 1 + len(expected)
+        for got, want in zip(seen[dim * dim + 1:], expected):
+            assert np.array_equal(got, want)
+
+    def test_violation_on_identity_draws_no_random_probe(self, monkeypatch):
+        draws = []
+        original = ef.random_hermitian
+
+        def counting(dim, rng, *args):
+            draws.append(dim)
+            return original(dim, rng, *args)
+
+        monkeypatch.setattr(ef, "random_hermitian", counting)
+        with pytest.raises(AdditivityViolation) as exc:
+            reconstruct_density(max_eigenvalue_functional(4))
+        assert draws == []
+        # every basis element has top eigenvalue 1, so the trace form reads 4 on I
+        assert np.array_equal(exc.value.probe.matrix, identity(4))
+        assert (exc.value.lhs, exc.value.rhs) == (1.0, 4.0)
+
+        draws.clear()
+        reconstruct_density(trace_functional(DensityMatrix.random(4, RNG(9))))
+        assert draws == [4] * DEFAULT_PROBE_COUNT
+
     def test_pure_state_functional(self):
         out = reconstruct_density(pure_state_functional(PureState.from_label("z+")))
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
@@ -170,6 +225,44 @@ class TestReconstruction:
         assert obj["kind"] == "b-prime-violation"
         assert obj["probe"]["dim"] == 2
         assert abs(obj["delta"] - (obj["lhs"] - obj["rhs"])) == 0.0
+
+
+def _random_unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _numpy_hermitian(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
+class TestTraceFormValue:
+    """Oracles: the explicit double sum and unitary covariance, in plain numpy."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_matches_explicit_sum(self, dim):
+        rng = RNG(70 + dim)
+        for _ in range(5):
+            # indefinite u: a trace form need not come from a state
+            u = _numpy_hermitian(dim, rng)
+            r = _numpy_hermitian(dim, rng)
+            expected = sum(u[i, j] * r[j, i] for i in range(dim) for j in range(dim))
+            value = trace_functional(HermitianOperator(u))(HermitianOperator(r))
+            assert abs(value - expected.real) <= 1e-12 * (1 + frobenius(u) * frobenius(r))
+
+    @pytest.mark.parametrize("dim", [2, 4, 7])
+    def test_unitary_covariance(self, dim):
+        rng = RNG(80 + dim)
+        for _ in range(5):
+            u = _numpy_hermitian(dim, rng)
+            r = _numpy_hermitian(dim, rng)
+            w = _random_unitary(dim, rng)
+            before = trace_functional(HermitianOperator(u))(HermitianOperator(r))
+            after = trace_functional(HermitianOperator(w @ u @ w.conj().T))(
+                HermitianOperator(w @ r @ w.conj().T))
+            assert abs(after - before) <= 1e-12 * (1 + frobenius(u) * frobenius(r))
 
 
 class TestCheckLinearity:

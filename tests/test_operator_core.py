@@ -13,6 +13,7 @@ import pytest
 from dispersionless.operator_core import (
     COMM_TOL,
     FUNCALC_TOL,
+    HERM_TOL,
     FunctionDomainError,
     HermitianOperator,
     RealFunction,
@@ -56,6 +57,27 @@ class TestValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             HermitianOperator([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("size", [0.1, 50.0])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_hermiticity_threshold(self, size, factor):
+        # the rule is |m - m*| > HERM_TOL * max(1, |m|); at 0.99 the deviation
+        # lies above HERM_TOL * |m| (size 0.1) or above HERM_TOL (size 50)
+        rng = RNG(11)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = (g + g.conj().T) / 2
+        a = 1j * h[::-1]
+        a = (a - a.conj().T) / 2
+        eps = factor * HERM_TOL * max(1.0, size) / (2 * np.linalg.norm(a))
+        m = size * h / np.linalg.norm(h) + eps * a
+        deviation = np.linalg.norm(m - m.conj().T)
+        threshold = HERM_TOL * max(1.0, np.linalg.norm(m))
+        assert abs(deviation / threshold - factor) < 1e-3
+        if factor > 1:
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                HermitianOperator(m)
+        else:
+            assert HermitianOperator(m).dim == 3
 
     def test_accepts_hermitian_with_complex_entries(self):
         op = HermitianOperator([[2, 1 - 1j], [1 + 1j, 3]])
