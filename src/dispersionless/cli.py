@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .expectation_functionals import (
     DensityMatrix,
@@ -65,48 +64,34 @@ class CliInputError(Exception):
     """Bad command-line input outside the expression language."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    trials: int
-    lambda_grid_size: int
-    output_format: str
-    lin_tol: float
-    comm_tol: float
+def _seed(args) -> int:
+    """--seed, else $DISPERSIONLESS_SEED, else DEFAULT_SEED; never negative."""
+    if args.seed is not None:
+        if args.seed < 0:
+            raise CliInputError(f"--seed must be non-negative, got {args.seed}")
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise CliInputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise CliInputError(f"{SEED_ENV_VAR} must be non-negative, got {raw!r}")
+    return seed
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        seed = args.seed
-        if seed is None:
-            raw = os.environ.get(SEED_ENV_VAR)
-            if raw is None:
-                seed = DEFAULT_SEED
-            else:
-                try:
-                    seed = int(raw)
-                except ValueError:
-                    raise CliInputError(
-                        f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
-                    ) from None
-        if args.trials < 1:
-            raise CliInputError("--trials must be at least 1")
-        if args.trials > MAX_TRIALS:
-            raise CliInputError(f"--trials must be at most {MAX_TRIALS}")
-        if args.lambda_grid_size < 2:
-            raise CliInputError("--lambda-grid-size must be at least 2")
-        if args.lambda_grid_size > MAX_LAMBDA_GRID_SIZE:
-            raise CliInputError(f"--lambda-grid-size must be at most {MAX_LAMBDA_GRID_SIZE}")
-        for flag, tol in (("--lin-tol", args.lin_tol), ("--comm-tol", args.comm_tol)):
-            if not 0.0 < tol < math.inf:
-                raise CliInputError(f"{flag} must be finite and positive, got {tol!r}")
-        return cls(
-            seed=seed,
-            trials=args.trials,
-            lambda_grid_size=args.lambda_grid_size,
-            output_format=args.output_format,
-            lin_tol=args.lin_tol,
-            comm_tol=args.comm_tol,
-        )
+
+def _check_count(flag: str, value: int, low: int, high: int):
+    if value < low:
+        raise CliInputError(f"{flag} must be at least {low}")
+    if value > high:
+        raise CliInputError(f"{flag} must be at most {high}")
+
+
+def _check_tol(flag: str, tol: float):
+    if not 0.0 < tol < math.inf:
+        raise CliInputError(f"{flag} must be finite and positive, got {tol!r}")
 
 
 def _payload(command: str, **fields) -> dict:
@@ -119,8 +104,8 @@ def _print_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit(config: RunConfig, payload: dict, lines: list[str]):
-    if config.output_format == "json":
+def _emit(output_format: str, payload: dict, lines: list[str]):
+    if output_format == "json":
         _print_json(payload)
     else:
         for line in lines:
@@ -183,9 +168,14 @@ def state_from_spec(spec: str) -> PureState:
         raise CliInputError(str(exc)) from exc
 
 
-def functional_from_spec(spec: str, dim: int) -> tuple[ExpectationFunctional, str]:
-    """Mini-format: trace:@file | pure:<state> | maxeig | hv:<state>:<lambda>."""
+def functional_from_spec(spec: str, dim: int | None) -> tuple[ExpectationFunctional, str]:
+    """Mini-format: trace:@file | pure:<state> | maxeig | hv:<state>:<lambda>.
+
+    Only maxeig reads ``dim`` (2 when None); any other functional carries
+    its own dimension.
+    """
     if spec == "maxeig":
+        dim = 2 if dim is None else dim
         return max_eigenvalue_functional(dim), f"maxeig(dim={dim})"
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -210,7 +200,7 @@ def functional_from_spec(spec: str, dim: int) -> tuple[ExpectationFunctional, st
     raise CliInputError(f"unknown functional kind {kind!r}")
 
 
-def cmd_verify_appendix1(args, config: RunConfig) -> int:
+def cmd_verify_appendix1(args) -> int:
     report = verify_appendix1_chain()
     lines = ["symmetrized-product identity chain (exact rational arithmetic):"]
     for step in report.steps:
@@ -224,7 +214,7 @@ def cmd_verify_appendix1(args, config: RunConfig) -> int:
         if report.passed else "chain broken"
     )
     lines.append(verdict)
-    _emit(config, _payload(
+    _emit(args.output_format, _payload(
         "verify-appendix1",
         passed=report.passed,
         steps=[{
@@ -238,8 +228,15 @@ def cmd_verify_appendix1(args, config: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_reconstruct(args, config: RunConfig) -> int:
+def cmd_reconstruct(args) -> int:
+    seed = _seed(args)
+    _check_count("--trials", args.trials, 1, MAX_TRIALS)
+    _check_tol("--lin-tol", args.lin_tol)
     functional, label = functional_from_spec(args.functional, args.dim)
+    if args.dim is not None and args.dim != functional.dim:
+        raise CliInputError(
+            f"--dim {args.dim} does not match the dimension {functional.dim} of {label}"
+        )
     if functional.dim > MAX_DIM:
         raise CliInputError(
             f"reconstruct handles dimension at most {MAX_DIM}, got {functional.dim}"
@@ -251,16 +248,16 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     try:
         density = reconstruct_density(
             functional,
-            probe_count=config.trials,
-            seed=config.seed,
-            lin_tol=config.lin_tol,
+            probe_count=args.trials,
+            seed=seed,
+            lin_tol=args.lin_tol,
         )
     except FunctionalViolation as exc:
         lines = [
             f"functional {label}: {exc}",
             "no density matrix reproduces this functional",
         ]
-        _emit(config, _payload(
+        _emit(args.output_format, _payload(
             "reconstruct",
             passed=False,
             functional=label,
@@ -273,7 +270,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         "recovered the density matrix of its trace form:",
     ]
     lines += _matrix_lines(density.matrix)
-    _emit(config, _payload(
+    _emit(args.output_format, _payload(
         "reconstruct",
         passed=True,
         functional=label,
@@ -283,13 +280,13 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dispersion_witness(args, config: RunConfig) -> int:
+def cmd_dispersion_witness(args) -> int:
     matrix = matrix_from_json(_load_json_file(_strip_at(args.density)))
     density = DensityMatrix(matrix)
     try:
         witness, value = dispersion_witness(density)
     except ValidationError as exc:
-        _emit(config, _payload(
+        _emit(args.output_format, _payload(
             "dispersion-witness",
             passed=False,
             error={"type": type(exc).__name__, "message": str(exc)},
@@ -299,7 +296,7 @@ def cmd_dispersion_witness(args, config: RunConfig) -> int:
         f"dispersion {_fmt(value)} > 0 for the witness operator:",
     ]
     lines += _matrix_lines(witness.matrix)
-    _emit(config, _payload(
+    _emit(args.output_format, _payload(
         "dispersion-witness",
         passed=True,
         witness=matrix_to_json(witness.matrix),
@@ -308,10 +305,11 @@ def cmd_dispersion_witness(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_jointmeas(args, config: RunConfig) -> int:
+def cmd_jointmeas(args) -> int:
+    _check_tol("--comm-tol", args.comm_tol)
     a = parse_hermitian(args.a)
     b = parse_hermitian(args.b)
-    verdict = joint_measurability_witness(a, b, tol=config.comm_tol)
+    verdict = joint_measurability_witness(a, b, tol=args.comm_tol)
     generator_json = None
     lines = [
         f"A = {args.a}",
@@ -338,7 +336,7 @@ def cmd_jointmeas(args, config: RunConfig) -> int:
             "square-product deficit |A^2B^2 + B^2A^2 - (AB)(BA) - (BA)(AB)|: "
             + _fmt(verdict.square_product_deficit_norm)
         )
-    _emit(config, _payload(
+    _emit(args.output_format, _payload(
         "jointmeas",
         passed=True,
         jointly_measurable=verdict.jointly_measurable,
@@ -350,14 +348,15 @@ def cmd_jointmeas(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_hv_demo(args, config: RunConfig) -> int:
+def cmd_hv_demo(args) -> int:
+    _check_count("--lambda-grid-size", args.lambda_grid_size, 2, MAX_LAMBDA_GRID_SIZE)
     phi = state_from_spec(args.phi)
     a = parse_hermitian(args.a)
     b = parse_hermitian(args.b)
-    report = additivity_violation_report(phi, a, b, lambda_grid(config.lambda_grid_size))
+    report = additivity_violation_report(phi, a, b, lambda_grid(args.lambda_grid_size))
     lines = [
         f"subensemble outcomes for phi={args.phi}, R={args.a}, S={args.b} "
-        f"over {config.lambda_grid_size} lambda points:",
+        f"over {args.lambda_grid_size} lambda points:",
         f"  per-point additivity violations: {report.violation_fraction:.4f} of grid",
         f"  averaged delta (must vanish):    {report.avg_delta:.3e}",
         "  lambda-averaged vs quantum expectations:",
@@ -366,45 +365,21 @@ def cmd_hv_demo(args, config: RunConfig) -> int:
         f"    R + S: {_fmt(report.average_sum)} vs {_fmt(report.quantum_sum)}",
     ]
     payload = _payload("hv-demo", passed=True, **report.to_json())
-    _emit(config, payload, lines)
+    _emit(args.output_format, payload, lines)
     return EXIT_OK
 
 
-def cmd_spectrum(args, config: RunConfig) -> int:
+def cmd_spectrum(args) -> int:
     op = parse_hermitian(args.expr)
     eigenvalues = [float(v) for v in eigendecompose(op).eigenvalues]
     text = "[" + ", ".join(_fmt(v) for v in eigenvalues) + "]"
-    _emit(config, _payload(
+    _emit(args.output_format, _payload(
         "spectrum", passed=True, expr=args.expr, eigenvalues=eigenvalues,
     ), [text])
     return EXIT_OK
 
 
-HANDLERS = {
-    "verify-appendix1": cmd_verify_appendix1,
-    "reconstruct": cmd_reconstruct,
-    "dispersion-witness": cmd_dispersion_witness,
-    "jointmeas": cmd_jointmeas,
-    "hv-demo": cmd_hv_demo,
-    "spectrum": cmd_spectrum,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        dest="output_format", help="report format")
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    common.add_argument("--trials", type=int, default=32,
-                        help=f"random probe count for functional checks (1 to {MAX_TRIALS})")
-    common.add_argument("--lambda-grid-size", type=int, default=1000,
-                        help=f"grid points for subensemble reports (2 to {MAX_LAMBDA_GRID_SIZE})")
-    common.add_argument("--lin-tol", type=float, default=LIN_TOL,
-                        help="tolerance for additivity and normalization checks")
-    common.add_argument("--comm-tol", type=float, default=COMM_TOL,
-                        help="tolerance for commutativity checks")
-
     parser = argparse.ArgumentParser(
         prog="dispersionless",
         description="Hermitian-operator toolkit: density-matrix reconstruction, "
@@ -413,46 +388,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "verify-appendix1", parents=[common],
-        help="verify the symmetrized-product identity chain in exact arithmetic",
-    )
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       dest="output_format", help="report format")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "reconstruct", parents=[common],
-        help="reconstruct a density matrix from an expectation functional",
-    )
+    command("verify-appendix1", cmd_verify_appendix1,
+            "verify the symmetrized-product identity chain in exact arithmetic")
+
+    p = command("reconstruct", cmd_reconstruct,
+                "reconstruct a density matrix from an expectation functional")
     p.add_argument("--functional", required=True,
                    help="trace:@file | pure:<state> | maxeig | hv:<state>:<lambda>")
-    p.add_argument("--dim", type=int, default=2,
-                   help="dimension for functionals that need one (maxeig); reconstruct "
-                        f"handles dimension at most {MAX_DIM}, matrix files included")
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension of maxeig (default 2); other functionals must match "
+                        f"it; at most {MAX_DIM}, matrix files included")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    p.add_argument("--trials", type=int, default=32,
+                   help=f"random probe count for functional checks (1 to {MAX_TRIALS})")
+    p.add_argument("--lin-tol", type=float, default=LIN_TOL,
+                   help="tolerance for additivity and normalization checks")
 
-    p = sub.add_parser(
-        "dispersion-witness", parents=[common],
-        help="produce an operator with positive dispersion for a density matrix",
-    )
+    p = command("dispersion-witness", cmd_dispersion_witness,
+                "produce an operator with positive dispersion for a density matrix")
     p.add_argument("--density", required=True, help="@file with a matrix in JSON form")
 
-    p = sub.add_parser(
-        "jointmeas", parents=[common],
-        help="decide joint measurability of two operator expressions",
-    )
+    p = command("jointmeas", cmd_jointmeas,
+                "decide joint measurability of two operator expressions")
     p.add_argument("--a", required=True, help="first operator expression")
     p.add_argument("--b", required=True, help="second operator expression")
+    p.add_argument("--comm-tol", type=float, default=COMM_TOL,
+                   help="tolerance for commutativity checks")
 
-    p = sub.add_parser(
-        "hv-demo", parents=[common],
-        help="per-lambda outcome additivity report for the qubit model",
-    )
+    p = command("hv-demo", cmd_hv_demo,
+                "per-lambda outcome additivity report for the qubit model")
     p.add_argument("--phi", required=True, help="state spec: z+ z- x+ x- y+ y- or @file")
     p.add_argument("--a", required=True, help="first operator expression (dim 2)")
     p.add_argument("--b", required=True, help="second operator expression (dim 2)")
+    p.add_argument("--lambda-grid-size", type=int, default=1000,
+                   help=f"grid points for the subensemble report (2 to {MAX_LAMBDA_GRID_SIZE})")
 
-    p = sub.add_parser(
-        "spectrum", parents=[common],
-        help="eigenvalues of an operator expression",
-    )
+    p = command("spectrum", cmd_spectrum, "eigenvalues of an operator expression")
     p.add_argument("--expr", required=True, help="operator expression")
 
     return parser
@@ -466,7 +445,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
-        return HANDLERS[args.command](args, RunConfig.from_args(args))
+        return args.handler(args)
     except (ExprError, CliInputError, ValidationError) as exc:
         return _emit_error(args.output_format, args.command, exc, EXIT_USAGE)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator_core import (
+    FUNCALC_TOL,
     HermitianOperator,
     RealFunction,
     ValidationError,
@@ -360,7 +361,7 @@ def _apply_call(func, value, pos):
             return _Ident(0.0)
         op = _hermitian_or_error(value.matrix, "offspec", pos)
         spectrum = eigendecompose(op).eigenvalues
-        f = RealFunction.indicator_outside(spectrum, tol=1e-9)
+        f = RealFunction.indicator_outside(spectrum, tol=FUNCALC_TOL)
         return _Matrix(apply_function(f, op).matrix)
     raise ExprEvalError(f"unknown function {func!r}", *pos)
 

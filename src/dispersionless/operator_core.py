@@ -240,10 +240,6 @@ class RealFunction:
 
         return cls(rule=rule, label="indicator-outside-spectrum")
 
-    @property
-    def coefficients(self) -> list[float] | None:
-        return None if self._coeffs is None else list(self._coeffs)
-
     def evaluate(self, x: float) -> float:
         x = float(x)
         if self._coeffs is not None:

@@ -225,16 +225,10 @@ class CommonGenerator:
     f_table: dict[int, float]
     g_table: dict[int, float]
 
-    def f_function(self) -> RealFunction:
-        return RealFunction.tabulated(self.f_table, label="readout-f")
-
-    def g_function(self) -> RealFunction:
-        return RealFunction.tabulated(self.g_table, label="readout-g")
-
     def reconstruct(self) -> tuple[HermitianOperator, HermitianOperator]:
         return (
-            apply_function(self.f_function(), self.t),
-            apply_function(self.g_function(), self.t),
+            apply_function(RealFunction.tabulated(self.f_table, label="readout-f"), self.t),
+            apply_function(RealFunction.tabulated(self.g_table, label="readout-g"), self.t),
         )
 
 

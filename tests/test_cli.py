@@ -1,5 +1,6 @@
 """Expression language and command-line behavior tests."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -212,6 +213,16 @@ def assert_error_document(out, command, message):
         "error": {"type": "CliInputError", "message": data["error"]["message"]},
     }
     assert message in data["error"]["message"]
+
+
+def assert_refused(fmt, out, err, command, message):
+    """An input error: the JSON error document, or `error: ...` on stderr."""
+    if fmt == "json":
+        assert err == ""
+        assert_error_document(out, command, message)
+    else:
+        assert out == ""
+        assert message in err
 
 
 class _Reached(Exception):
@@ -456,9 +467,11 @@ class TestCliCommands:
 
     def test_bad_seed_env_as_json(self, capsys, monkeypatch):
         monkeypatch.setenv("DISPERSIONLESS_SEED", "not-a-number")
-        code, out, err = run(capsys, "spectrum", "--expr", "SZ", "--format", "json")
+        code, out, err = run(
+            capsys, "reconstruct", "--functional", "pure:z+", "--format", "json",
+        )
         assert (code, err) == (2, "")
-        assert_error_document(out, "spectrum", "DISPERSIONLESS_SEED must be an integer")
+        assert_error_document(out, "reconstruct", "DISPERSIONLESS_SEED must be an integer")
 
     @pytest.mark.parametrize("argv, flag, limit, message", [
         (("reconstruct", "--functional", "maxeig"), "--dim", 32,
@@ -521,6 +534,105 @@ class TestCliCommands:
         monkeypatch.setenv("DISPERSIONLESS_SEED", "not-a-number")
         code, _, _ = run(capsys, "reconstruct", "--functional", "pure:z+")
         assert code == 2
+
+
+OPTIONS = {
+    "verify-appendix1": set(),
+    "reconstruct": {"--functional", "--dim", "--seed", "--trials", "--lin-tol"},
+    "dispersion-witness": {"--density"},
+    "jointmeas": {"--a", "--b", "--comm-tol"},
+    "hv-demo": {"--phi", "--a", "--b", "--lambda-grid-size"},
+    "spectrum": {"--expr"},
+}
+
+
+class TestOptionSets:
+    """Each option sits only on the command whose handler reads it."""
+
+    def test_each_command_has_exactly_its_options(self):
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands) == set(OPTIONS)
+        for name, sub in commands.items():
+            got = {flag for action in sub._actions for flag in action.option_strings}
+            assert got == {"-h", "--help", "--format"} | OPTIONS[name], name
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--expr", "SZ", "--trials", "5"),
+        ("verify-appendix1", "--seed", "1"),
+        ("jointmeas", "--a", "SX", "--b", "SY", "--lin-tol", "0.5"),
+        ("hv-demo", "--phi", "z+", "--a", "SX", "--b", "SY", "--comm-tol", "1"),
+    ], ids=["spectrum-trials", "verify-seed", "jointmeas-lin-tol", "hv-demo-comm-tol"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_foreign_option_refused(self, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
+    def test_bad_seed_env_ignored_without_seed_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISPERSIONLESS_SEED", "not-a-number")
+        code, out, _ = run(capsys, "spectrum", "--expr", "SZ")
+        assert code == 0
+        assert out.strip() == "[-1.00000000, 1.00000000]"
+
+
+class TestReconstructOptions:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("dim", ["5", "0"])
+    def test_dim_must_match_functional(self, capsys, monkeypatch, dim, fmt):
+        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        code, out, err = run(
+            capsys, "reconstruct", "--functional", "pure:x+", "--dim", dim, "--format", fmt,
+        )
+        message = f"--dim {dim} does not match the dimension 2 of pure:x+"
+        assert code == 2
+        assert_refused(fmt, out, err, "reconstruct", message)
+
+    def test_dim_matching_functional_accepted(self, capsys, tmp_path):
+        path = write_density(tmp_path, identity(3) / 3)
+        code, out, _ = run(
+            capsys, "reconstruct", "--functional", f"trace:@{path}", "--dim", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["transcript"]) == 9
+
+    def test_maxeig_dim(self, capsys):
+        code, out, _ = run(
+            capsys, "reconstruct", "--functional", "maxeig", "--dim", "4", "--format", "json",
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["functional"] == "maxeig(dim=4)"
+        assert len(data["transcript"]) == 16
+        code, out, _ = run(capsys, "reconstruct", "--functional", "maxeig", "--format", "json")
+        assert json.loads(out)["functional"] == "maxeig(dim=2)"
+
+    def test_maxeig_dim_zero_refused(self, capsys, monkeypatch):
+        # a zero --dim is an error, not a fallback to the default dimension
+        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        code, out, err = run(capsys, "reconstruct", "--functional", "maxeig", "--dim", "0")
+        assert (code, out) == (2, "")
+        assert "dimension must be at least 1" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("seed_arg, seed_env, message", [
+        ("-1", None, "--seed must be non-negative, got -1"),
+        (None, "-3", "DISPERSIONLESS_SEED must be non-negative, got '-3'"),
+    ], ids=["flag", "env"])
+    def test_negative_seed_refused(self, capsys, monkeypatch, seed_arg, seed_env, message, fmt):
+        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        if seed_env is None:
+            monkeypatch.delenv("DISPERSIONLESS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DISPERSIONLESS_SEED", seed_env)
+        seed = [] if seed_arg is None else ["--seed", seed_arg]
+        code, out, err = run(
+            capsys, "reconstruct", "--functional", "maxeig", *seed, "--format", fmt,
+        )
+        assert code == 2
+        assert_refused(fmt, out, err, "reconstruct", message)
 
 
 class TestDeterminism:
