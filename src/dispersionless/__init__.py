@@ -13,8 +13,6 @@ from .operator_core import (
     HERM_TOL,
     FunctionDomainError,
     HermitianOperator,
-    NumericalError,
-    RealFunction,
     Spectrum,
     ValidationError,
     SIGMA_X,
@@ -25,6 +23,7 @@ from .operator_core import (
     commutes,
     eigendecompose,
     identity,
+    indicator_outside,
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
@@ -59,7 +58,6 @@ from .symmetrized_algebra import (
     ChainStep,
     CommonGenerator,
     JointMeasurabilityVerdict,
-    SymmetrizedProductExpr,
     common_generator,
     joint_measurability_witness,
     symmetrized_product,

@@ -10,6 +10,7 @@ single JSON document with a top-level ``"schema": 1`` marker.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -379,7 +380,9 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dispersionless",
         description="Hermitian-operator toolkit: density-matrix reconstruction, "

@@ -19,7 +19,6 @@ import numpy as np
 
 from .operator_core import (
     HermitianOperator,
-    NumericalError,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -281,20 +280,15 @@ class ExpectationFunctional:
 def pure_state_expectation(phi: PureState, op) -> float:
     """Inner-product expectation of op in the state phi.
 
-    The value is real for Hermitian input; a residual imaginary part above
-    LIN_TOL means a non-Hermitian leak and raises NumericalError.
+    The imaginary part is dropped: for a HermitianOperator it is at most
+    HERM_TOL * max(1, |op|) / 2 plus roundoff at the scale of op.
     """
     op = as_hermitian(op)
     if op.dim != phi.dim:
         raise ValidationError(
             f"dimension mismatch: state {phi.dim} vs operator {op.dim}"
         )
-    z = complex(np.vdot(phi.vector, op.matrix @ phi.vector))
-    if abs(z.imag) > LIN_TOL:
-        raise NumericalError(
-            f"non-Hermitian leak: expectation {z!r} has imaginary part above {LIN_TOL}"
-        )
-    return z.real
+    return float(np.vdot(phi.vector, op.matrix @ phi.vector).real)
 
 
 def trace_functional(u, label: str = "") -> ExpectationFunctional:

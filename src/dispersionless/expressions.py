@@ -23,11 +23,11 @@ import numpy as np
 from .operator_core import (
     FUNCALC_TOL,
     HermitianOperator,
-    RealFunction,
     ValidationError,
     apply_function,
     eigendecompose,
     identity,
+    indicator_outside,
     matrix_from_json,
     SIGMA_X,
     SIGMA_Y,
@@ -351,7 +351,7 @@ def _apply_call(func, value, pos):
         if isinstance(value, _Ident):
             return _Ident(abs(value.scale))
         op = _hermitian_or_error(value.matrix, "abs", pos)
-        return _Matrix(apply_function(RealFunction.from_rule(abs, label="abs"), op).matrix)
+        return _Matrix(apply_function(np.abs, op).matrix)
     if func == "offspec":
         # indicator that is 0 on the argument's spectrum and 1 elsewhere;
         # applying it to the argument itself always yields zero
@@ -361,8 +361,7 @@ def _apply_call(func, value, pos):
             return _Ident(0.0)
         op = _hermitian_or_error(value.matrix, "offspec", pos)
         spectrum = eigendecompose(op).eigenvalues
-        f = RealFunction.indicator_outside(spectrum, tol=FUNCALC_TOL)
-        return _Matrix(apply_function(f, op).matrix)
+        return _Matrix(apply_function(indicator_outside(spectrum, FUNCALC_TOL), op).matrix)
     raise ExprEvalError(f"unknown function {func!r}", *pos)
 
 

@@ -23,8 +23,6 @@ def _as_coeff(value) -> Fraction:
         return value
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
     raise ValidationError(
         f"coefficients must be exact rationals, got {type(value).__name__}"
     )
@@ -66,9 +64,6 @@ class NcPolynomial:
     def symbols(self) -> set[str]:
         return {name for word in self._terms for name in word}
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -107,10 +102,8 @@ class NcPolynomial:
         coeff = _as_coeff(other)
         return NcPolynomial({w: c * coeff for w, c in self._terms.items()})
 
-    def __rmul__(self, other):
-        # scalar multiplication only; polynomial * polynomial goes via __mul__
-        coeff = _as_coeff(other)
-        return NcPolynomial({w: coeff * c for w, c in self._terms.items()})
+    # reached only with a scalar on the left, and scalars commute with words
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         coeff = _as_coeff(other)

@@ -20,7 +20,8 @@ COMM_TOL = 1e-9
 
 # eigenvalues closer than this are treated as one degenerate cluster
 DEGENERACY_GAP = 1e-8
-# lookup slack for table-backed functions evaluated at computed eigenvalues
+# how far a computed eigenvalue of a common generator may sit from the
+# integer label it is read out as
 TABLE_MATCH_TOL = 1e-6
 
 
@@ -28,12 +29,8 @@ class ValidationError(ValueError):
     """An input failed a structural precondition (shape, hermiticity, ...)."""
 
 
-class NumericalError(RuntimeError):
-    """A computed value failed a numerical consistency check."""
-
-
 class FunctionDomainError(ValueError):
-    """A table-backed real function has no value at the requested point."""
+    """A readout table has no label within TABLE_MATCH_TOL of an eigenvalue."""
 
 
 def as_square_matrix(entries) -> np.ndarray:
@@ -192,86 +189,28 @@ def eigendecompose(op) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-class RealFunction:
-    """Total real-to-real map, applied to operators through the spectrum.
+def indicator_outside(points: Sequence[float], tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Elementwise indicator: 1 away from the given points, 0 within tol of any of them."""
+    if tol < 0:
+        raise ValidationError("tolerance must be non-negative")
+    pts = np.asarray(points, dtype=np.float64)
 
-    Two representations: a polynomial (coefficient list, ascending powers)
-    or a finite (point, value) table optionally backed by an evaluable
-    rule.  A bare table must cover every point it is asked for; lookups
-    tolerate TABLE_MATCH_TOL slack so computed eigenvalues match their
-    intended table keys.
-    """
+    def indicator(x: np.ndarray) -> np.ndarray:
+        near = (np.abs(np.subtract.outer(x, pts)) <= tol).any(axis=-1)
+        return np.where(near, 0.0, 1.0)
 
-    __slots__ = ("_coeffs", "_rule", "_table", "label")
-
-    def __init__(self, *, coeffs=None, rule=None, table=None, label=""):
-        if coeffs is None and rule is None and table is None:
-            raise ValidationError("real function needs coefficients, a rule, or a table")
-        self._coeffs = None if coeffs is None else [float(c) for c in coeffs]
-        self._rule = rule
-        self._table = None if table is None else {float(k): float(v) for k, v in table.items()}
-        self.label = label
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[float], label: str = "") -> "RealFunction":
-        coeffs = list(coeffs)
-        if not coeffs:
-            coeffs = [0.0]
-        return cls(coeffs=coeffs, label=label or f"poly{tuple(coeffs)}")
-
-    @classmethod
-    def from_rule(cls, rule: Callable[[float], float], table: Mapping[float, float] | None = None,
-                  label: str = "") -> "RealFunction":
-        return cls(rule=rule, table=table, label=label or "rule")
-
-    @classmethod
-    def tabulated(cls, table: Mapping[float, float], label: str = "") -> "RealFunction":
-        return cls(table=table, label=label or "table")
-
-    @classmethod
-    def indicator_outside(cls, values: Sequence[float], tol: float) -> "RealFunction":
-        """1 away from the given points, 0 within tol of any of them."""
-        pts = [float(x) for x in values]
-        if tol < 0:
-            raise ValidationError("tolerance must be non-negative")
-
-        def rule(x: float) -> float:
-            return 0.0 if any(abs(x - p) <= tol for p in pts) else 1.0
-
-        return cls(rule=rule, label="indicator-outside-spectrum")
-
-    def evaluate(self, x: float) -> float:
-        x = float(x)
-        if self._coeffs is not None:
-            acc = 0.0
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return acc
-        if self._table:
-            key = min(self._table, key=lambda k: abs(k - x))
-            if abs(key - x) <= TABLE_MATCH_TOL:
-                return self._table[key]
-        if self._rule is not None:
-            return float(self._rule(x))
-        raise FunctionDomainError(
-            f"function {self.label or '<table>'} is undefined at {x!r}"
-        )
-
-    __call__ = evaluate
-
-    def __repr__(self):
-        return f"RealFunction({self.label})"
+    return indicator
 
 
-def apply_function(f: RealFunction, op) -> HermitianOperator:
+def apply_function(f: Callable[[np.ndarray], np.ndarray], op) -> HermitianOperator:
     """Evaluate f on the spectrum: sum of f(eigenvalue) * eigenprojector.
 
-    For polynomial f this agrees with the matrix polynomial within
-    FUNCALC_TOL; for table-backed f every eigenvalue must be covered.
+    f maps the ascending eigenvalue array to an array of real values of the
+    same length (a numpy ufunc such as np.abs, or a function over arrays)
+    and is called once per decomposition.
     """
-    op = as_hermitian(op)
     spec = eigendecompose(op)
-    vals = np.array([f.evaluate(x) for x in spec.eigenvalues], dtype=np.float64)
+    vals = np.asarray(f(spec.eigenvalues), dtype=np.float64)
     m = (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
     return HermitianOperator(m)
 

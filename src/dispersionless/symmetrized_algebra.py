@@ -22,8 +22,9 @@ from .ncpoly import NcPolynomial, evaluate_nc
 from .operator_core import (
     COMM_TOL,
     DEGENERACY_GAP,
+    TABLE_MATCH_TOL,
+    FunctionDomainError,
     HermitianOperator,
-    RealFunction,
     ValidationError,
     apply_function,
     as_hermitian,
@@ -37,46 +38,6 @@ from .operator_core import (
 def symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
     """(ab + ba)/2 in the free algebra; commutative and bilinear by construction."""
     return (a * b + b * a) / 2
-
-
-@dataclass(frozen=True)
-class SymmetrizedProductExpr:
-    """Binary tree of physical products; leaves are symbols.
-
-    Each node's image under the symmetrized-product map is
-    (image(left) * image(right) + image(right) * image(left)) / 2,
-    computed exactly.
-    """
-
-    name: str | None = None
-    left: "SymmetrizedProductExpr | None" = None
-    right: "SymmetrizedProductExpr | None" = None
-
-    @classmethod
-    def leaf(cls, name: str) -> "SymmetrizedProductExpr":
-        return cls(name=name)
-
-    @classmethod
-    def product(cls, left: "SymmetrizedProductExpr",
-                right: "SymmetrizedProductExpr") -> "SymmetrizedProductExpr":
-        return cls(left=left, right=right)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.name is not None
-
-    def image(self) -> NcPolynomial:
-        if self.is_leaf:
-            return NcPolynomial.symbol(self.name)
-        return symmetrized_product(self.left.image(), self.right.image())
-
-    def __str__(self):
-        if self.is_leaf:
-            return self.name
-        sides = []
-        for side in (self.left, self.right):
-            sides.append(str(side) if side.is_leaf else f"({side})")
-        return "".join(sides)
 
 
 def _poly(spec: dict[str, tuple[int, int]]) -> NcPolynomial:
@@ -143,9 +104,9 @@ def verify_appendix1_chain() -> ChainReport:
     routes to the same physical quantity leaves no room for a nonzero
     (RS - SR)^2.
     """
-    r = SymmetrizedProductExpr.leaf("R")
-    s = SymmetrizedProductExpr.leaf("S")
-    prod = SymmetrizedProductExpr.product
+    r = NcPolynomial.symbol("R")
+    s = NcPolynomial.symbol("S")
+    prod = symmetrized_product
 
     rs = prod(r, s)
     r_rs = prod(r, rs)
@@ -166,45 +127,43 @@ def verify_appendix1_chain() -> ChainReport:
         ))
 
     check("RS", "image of the product of R and S",
-          rs.image(), FIXTURE_RS)
+          rs, FIXTURE_RS)
     check("R(RS)", "image of the nested product R(RS)",
-          r_rs.image(), FIXTURE_RRS)
+          r_rs, FIXTURE_RRS)
     check("S(R(RS))", "image of the nested product S(R(RS))",
-          s_r_rs.image(), FIXTURE_SRRS)
+          s_r_rs, FIXTURE_SRRS)
     check("R(S(SR))", "image of the nested product R(S(SR))",
-          r_s_sr.image(), FIXTURE_RSSR)
+          r_s_sr, FIXTURE_RSSR)
     check("(RS)(RS)", "image of the squared product (RS)^2",
-          rs_sq.image(), FIXTURE_RSRS)
+          rs_sq, FIXTURE_RSRS)
 
     # S(R(RS)), R(S(SR)) and (RS)^2 are one and the same quantity, so the
     # residual of their images must be a multiple of the square-product
     # deficit; equate them and R^2S^2 + S^2R^2 = (RS)(SR) + (SR)(RS) follows.
-    residual = s_r_rs.image() + r_s_sr.image() - 2 * rs_sq.image()
+    residual = s_r_rs + r_s_sr - 2 * rs_sq
     check("square-product identity",
           "S(R(RS)) + R(S(SR)) - 2(RS)^2 reduces to the square-product deficit / 4",
           residual, SQUARE_PRODUCT_DEFICIT / 4)
 
     check("R^2S^2", "image of the product of R^2 and S^2",
-          sq_prod.image(), FIXTURE_SSRR)
+          sq_prod, FIXTURE_SSRR)
 
     # Rewriting R^2S^2 + S^2R^2 through the square-product identity gives
     # the reduced form [(RS)(SR) + (SR)(RS)]/2 for the same quantity.
     check("R^2S^2 reduced",
           "R^2S^2 image minus the imposed deficit / 2 equals [(RS)(SR)+(SR)(RS)]/2",
-          sq_prod.image() - SQUARE_PRODUCT_DEFICIT / 2, FIXTURE_SSRR_REDUCED)
+          sq_prod - SQUARE_PRODUCT_DEFICIT / 2, FIXTURE_SSRR_REDUCED)
 
     # (RS)^2 and R^2S^2 are also the same quantity, so the reduced form must
     # match the (RS)^2 image: the gap is exactly -1/4 of the cross-square
     # deficit, forcing (RS)(SR) + (SR)(RS) = (RS)^2 + (SR)^2.
     check("cross-square identity",
           "reduced R^2S^2 minus the (RS)^2 image is -(cross-square deficit)/4",
-          FIXTURE_SSRR_REDUCED - rs_sq.image(), -(CROSS_SQUARE_DEFICIT / 4))
+          FIXTURE_SSRR_REDUCED - rs_sq, -(CROSS_SQUARE_DEFICIT / 4))
 
     # Free-algebra expansion, no imposed relations: (RS - SR)^2 equals the
     # cross-square deficit, hence vanishes once the chain is imposed.
-    sym_r = NcPolynomial.symbol("R")
-    sym_s = NcPolynomial.symbol("S")
-    comm = sym_r * sym_s - sym_s * sym_r
+    comm = r * s - s * r
     check("commutator square vanishes",
           "(RS - SR)^2 expands to the cross-square deficit, which the chain forces to 0",
           comm * comm, CROSS_SQUARE_DEFICIT)
@@ -226,10 +185,30 @@ class CommonGenerator:
     g_table: dict[int, float]
 
     def reconstruct(self) -> tuple[HermitianOperator, HermitianOperator]:
+        """(f(T), g(T)), reading each eigenvalue of T as its nearest integer label.
+
+        Raises FunctionDomainError when an eigenvalue lies farther than
+        TABLE_MATCH_TOL from every label of a table.
+        """
         return (
-            apply_function(RealFunction.tabulated(self.f_table, label="readout-f"), self.t),
-            apply_function(RealFunction.tabulated(self.g_table, label="readout-g"), self.t),
+            apply_function(_readout(self.f_table), self.t),
+            apply_function(_readout(self.g_table), self.t),
         )
+
+
+def _readout(table: dict[int, float]):
+    def read(eigenvalues: np.ndarray) -> list[float]:
+        values = []
+        for x in eigenvalues.tolist():
+            label = round(x)
+            if abs(x - label) > TABLE_MATCH_TOL or label not in table:
+                raise FunctionDomainError(
+                    f"no readout label within {TABLE_MATCH_TOL} of eigenvalue {x!r}"
+                )
+            values.append(table[label])
+        return values
+
+    return read
 
 
 def _clusters(values: np.ndarray) -> list[tuple[int, int]]:

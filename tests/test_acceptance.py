@@ -30,12 +30,12 @@ from dispersionless.hidden_variables import (
 )
 from dispersionless.operator_core import (
     HermitianOperator,
-    RealFunction,
     SIGMA_X,
     SIGMA_Y,
     apply_function,
     eigendecompose,
     frobenius,
+    indicator_outside,
     random_hermitian,
 )
 from dispersionless.symmetrized_algebra import (
@@ -181,7 +181,7 @@ def test_criterion_5_spectrum_theorem():
         for _ in range(100):
             op = random_hermitian(dim, rng)
             eigenvalues = eigendecompose(op).eigenvalues
-            f = RealFunction.indicator_outside(eigenvalues, tol=1e-9)
+            f = indicator_outside(eigenvalues, tol=1e-9)
             worst = max(worst, frobenius(apply_function(f, op).matrix))
     spectrum = eigendecompose(HermitianOperator(SIGMA_X + SIGMA_Y)).eigenvalues
     gap = max(

@@ -283,6 +283,18 @@ class TestCliCommands:
         assert code == 0
         assert len(json.loads(out)["pairs"]) == 11
 
+    def test_hv_demo_large_operator(self, capsys):
+        # <x+|A|x+> is ~3.2e9, where roundoff leaves an imaginary part ~2e-7
+        code, out, _ = run(
+            capsys, "hv-demo", "--phi", "x+",
+            "--a", "cube(1234.567*SX + 987.654*SY + 345.123*SZ)", "--b", "SZ",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["command"] == "hv-demo"
+        assert data["passed"] is True
+
     def test_hv_demo_rejects_dim3(self, capsys, tmp_path):
         path = write_density(tmp_path, identity(3) / 3, "m3.json")
         code, _, err = run(capsys, "hv-demo", "--phi", "z+", "--a", f"@{path}", "--b", "SY")
@@ -575,6 +587,20 @@ class TestOptionSets:
         code, out, _ = run(capsys, "spectrum", "--expr", "SZ")
         assert code == 0
         assert out.strip() == "[-1.00000000, 1.00000000]"
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_leaves_parser_clean(self, capsys):
+        argv = ["jointmeas", "--a", "SX", "--b", "SZ", "--format", "json"]
+        alone = subprocess.run(
+            [sys.executable, "-m", "dispersionless", *argv], capture_output=True, text=True,
+        )
+        code, out, _ = run(capsys, "jointmeas", "--a", "SX", "--lin-tol", "0.5")
+        assert (code, out) == (2, "")
+        assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
 
 
 class TestReconstructOptions:

@@ -404,6 +404,15 @@ class TestPureStateExpectation:
         with pytest.raises(ValidationError):
             pure_state_expectation(PureState.basis_state(3, 0), HermitianOperator(SIGMA_X))
 
+    def test_large_operator_matches_numpy(self):
+        # |<v|M|v>| ~ 3.2e9 with a roundoff imaginary part ~ 2e-7
+        a = 1234.567 * SIGMA_X + 987.654 * SIGMA_Y + 345.123 * SIGMA_Z
+        m = a @ a @ a
+        phi = PureState.from_label("x+")
+        expected = np.vdot(phi.vector, m @ phi.vector).real
+        got = pure_state_expectation(phi, HermitianOperator(m))
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
 
 class TestTraceFormLinearity:
     @pytest.mark.parametrize("dim", [2, 3])

@@ -35,7 +35,6 @@ from dispersionless.hidden_variables import (
 )
 from dispersionless.operator_core import (
     HermitianOperator,
-    RealFunction,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -185,7 +184,7 @@ class TestAssignValue:
         phi = PureState.from_label(label)
         rule = OUTCOME_MAPS[f]
         op = HermitianOperator(a * ZERO_COMPONENT_AXES[axis] + c * identity(2))
-        mapped = apply_function(RealFunction.from_rule(rule, label=f), op)
+        mapped = apply_function(rule, op)
         assert assign_value(phi, lam, mapped) == pytest.approx(
             rule(assign_value(phi, lam, op)), abs=1e-9
         )

@@ -14,9 +14,7 @@ from dispersionless.operator_core import (
     COMM_TOL,
     FUNCALC_TOL,
     HERM_TOL,
-    FunctionDomainError,
     HermitianOperator,
-    RealFunction,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -28,6 +26,7 @@ from dispersionless.operator_core import (
     eigendecompose,
     frobenius,
     identity,
+    indicator_outside,
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
@@ -35,6 +34,11 @@ from dispersionless.operator_core import (
 )
 
 RNG = np.random.default_rng
+
+
+def polynomial(coeffs):
+    """Array function sum_k coeffs[k] x^k for apply_function."""
+    return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 # residual bound for reconstruction and orthonormality of an eigensystem
 EIG_TOL = 1e-10
 
@@ -179,13 +183,12 @@ class TestEigendecompose:
 
 class TestApplyFunction:
     def test_square_of_sigma_x_is_identity(self):
-        f = RealFunction.polynomial([0, 0, 1])
-        out = apply_function(f, HermitianOperator(SIGMA_X))
+        out = apply_function(polynomial([0, 0, 1]), HermitianOperator(SIGMA_X))
         assert frobenius(out.matrix - identity(2)) <= 1e-12
 
     def test_indicator_outside_spectrum_annihilates(self):
         spec = eigendecompose(HermitianOperator(SIGMA_Z))
-        f = RealFunction.indicator_outside(spec.eigenvalues, tol=1e-9)
+        f = indicator_outside(spec.eigenvalues, tol=1e-9)
         out = apply_function(f, HermitianOperator(SIGMA_Z))
         assert frobenius(out.matrix) <= 1e-12
 
@@ -193,8 +196,7 @@ class TestApplyFunction:
         # oracle: explicit matrix product R.R.R - 2R
         rng = RNG(11)
         op = random_hermitian(4, rng)
-        f = RealFunction.polynomial([0, -2, 0, 1])
-        out = apply_function(f, op)
+        out = apply_function(polynomial([0, -2, 0, 1]), op)
         m = op.matrix
         expected = m @ m @ m - 2 * m
         assert frobenius(out.matrix - expected) <= 1e-9
@@ -205,8 +207,7 @@ class TestApplyFunction:
         for _ in range(10):
             op = random_hermitian(dim, rng)
             coeffs = rng.uniform(-2, 2, size=4)
-            f = RealFunction.polynomial(coeffs)
-            out = apply_function(f, op)
+            out = apply_function(polynomial(coeffs), op)
             expected = sum(
                 c * np.linalg.matrix_power(op.matrix, k) for k, c in enumerate(coeffs)
             )
@@ -217,24 +218,28 @@ class TestApplyFunction:
     def test_function_commutes_with_argument(self, dim):
         rng = RNG(400 + dim)
         op = random_hermitian(dim, rng)
-        f = RealFunction.polynomial([1, 0.5, -1, 0.25])
-        out = apply_function(f, op)
+        out = apply_function(polynomial([1, 0.5, -1, 0.25]), op)
         assert commutator_norm(out, op) <= COMM_TOL * max(1.0, out.norm() * op.norm())
 
     def test_table_backed_function(self):
-        f = RealFunction.tabulated({-1.0: 5.0, 1.0: 7.0})
-        out = apply_function(f, HermitianOperator(SIGMA_Z))
+        out = apply_function(lambda x: np.where(x < 0, 5.0, 7.0), HermitianOperator(SIGMA_Z))
         np.testing.assert_allclose(out.matrix, np.diag([7.0, 5.0]), atol=1e-12)
 
-    def test_table_gap_raises_domain_error(self):
-        f = RealFunction.tabulated({0.0: 1.0})
-        with pytest.raises(FunctionDomainError):
-            apply_function(f, HermitianOperator(SIGMA_Z))
+    def test_function_sees_whole_ascending_spectrum_once(self):
+        seen = []
 
-    def test_rule_with_table_override(self):
-        f = RealFunction.from_rule(lambda x: x * x, table={1.0: -9.0})
-        assert f(1.0) == -9.0
-        assert f(2.0) == 4.0
+        def square(x):
+            seen.append(x.copy())
+            return x * x
+
+        out = apply_function(square, HermitianOperator(np.diag([3.0, -1.0, 2.0])))
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0], [-1.0, 2.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(out.matrix, np.diag([9.0, 1.0, 4.0]), atol=1e-12)
+
+    def test_indicator_rejects_negative_tolerance(self):
+        with pytest.raises(ValidationError):
+            indicator_outside([0.0], tol=-1e-9)
 
 
 class TestSpectrumContains:
