@@ -102,11 +102,6 @@ class TestSymmetrizedProduct:
     def test_nested_product(self):
         got = symmetrized_product(R, symmetrized_product(R, S))
         assert got == poly({"RRS": (1, 4), "RSR": (1, 2), "SRR": (1, 4)})
-        got = symmetrized_product(S, symmetrized_product(R, symmetrized_product(R, S)))
-        assert got == poly({
-            "SRRS": (1, 4), "SRSR": (1, 4), "RSRS": (1, 4),
-            "SSRR": (1, 8), "RRSS": (1, 8),
-        })
 
     @settings(max_examples=60)
     @given(st.data())
@@ -123,6 +118,17 @@ class TestSymmetrizedProduct:
             symmetrized_product(a, b) + symmetrized_product(c, b)
         )
         assert symmetrized_product(a * k, b) == symmetrized_product(a, b) * k
+
+    def test_expression_tree_rendering(self):
+        # the nested product S(R(RS)) is rendered by its chain step name and
+        # the canonical text of its image
+        tree = symmetrized_product(S, symmetrized_product(R, symmetrized_product(R, S)))
+        assert tree == poly({
+            "SRRS": (1, 4), "SRSR": (1, 4), "RSRS": (1, 4),
+            "SSRR": (1, 8), "RRSS": (1, 8),
+        })
+        by_name = {step.name: step for step in verify_appendix1_chain().steps}
+        assert by_name["S(R(RS))"].computed == str(tree)
 
 
 class TestChain:
