@@ -64,10 +64,8 @@ from .symmetrized_algebra import (
     verify_appendix1_chain,
 )
 from .hidden_variables import (
-    HiddenParameter,
     SubensembleReport,
     UnsupportedDimensionError,
-    ValueAssignment,
     additivity_violation_report,
     assign_value,
     average_over_lambda,

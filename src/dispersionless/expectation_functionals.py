@@ -450,10 +450,7 @@ def _monotone_commuting_pair(dim, rng):
     spec = eigendecompose(t)
     fvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
     gvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
-    vecs = spec.eigenvectors
-    r = HermitianOperator((vecs * fvals) @ vecs.conj().T)
-    s = HermitianOperator((vecs * gvals) @ vecs.conj().T)
-    return r, s
+    return spec.apply(lambda _: fvals), spec.apply(lambda _: gvals)
 
 
 def check_linearity(

@@ -35,7 +35,6 @@ from .operator_core import (
 )
 
 CONSTANTS = {"SX": SIGMA_X, "SY": SIGMA_Y, "SZ": SIGMA_Z}
-FUNCTIONS = ("sq", "cube", "abs", "offspec")
 _DEFAULT_DIM = 2
 
 
@@ -360,8 +359,8 @@ def _apply_call(func, value, pos):
         if isinstance(value, _Ident):
             return _Ident(0.0)
         op = _hermitian_or_error(value.matrix, "offspec", pos)
-        spectrum = eigendecompose(op).eigenvalues
-        return _Matrix(apply_function(indicator_outside(spectrum, FUNCALC_TOL), op).matrix)
+        spec = eigendecompose(op)
+        return _Matrix(spec.apply(indicator_outside(spec.eigenvalues, FUNCALC_TOL)).matrix)
     raise ExprEvalError(f"unknown function {func!r}", *pos)
 
 

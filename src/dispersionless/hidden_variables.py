@@ -32,9 +32,10 @@ from .operator_core import (
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
-# roundoff allowance of the model: per-sample deltas above it count as
-# additivity violations, axis components at or below it (relative to the
-# norm) do not fix the axis sign, and thresholds within it of the tie
+# relative roundoff allowance of the model: a per-sample delta counts as an
+# additivity violation when it exceeds DELTA_TOL times the size of the
+# three outcomes it compares, axis components at or below it (relative to
+# the norm) do not fix the axis sign, and thresholds within it of the tie
 # read +1
 DELTA_TOL = 1e-9
 
@@ -43,23 +44,14 @@ class UnsupportedDimensionError(ValidationError):
     """The subensemble model is defined for dimension 2 only."""
 
 
-@dataclass(frozen=True)
-class HiddenParameter:
-    """Uniformly distributed hidden parameter on [-1/2, 1/2]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (LAMBDA_MIN <= self.value <= LAMBDA_MAX):
-            raise ValidationError(
-                f"hidden parameter {self.value!r} outside [{LAMBDA_MIN}, {LAMBDA_MAX}]"
-            )
-
-
-def _lambda_value(lam) -> float:
-    if isinstance(lam, HiddenParameter):
-        return lam.value
-    return HiddenParameter(float(lam)).value
+def _lambdas(x) -> np.ndarray:
+    """A float64 copy of the hidden parameter values, refusing NaN and out-of-range ones."""
+    lams = np.array(x, dtype=float)
+    outside = ~((lams >= LAMBDA_MIN) & (lams <= LAMBDA_MAX))
+    if outside.any():
+        v = float(lams[outside][0])
+        raise ValidationError(f"hidden parameter {v!r} outside [{LAMBDA_MIN}, {LAMBDA_MAX}]")
+    return lams
 
 
 def _require_qubit(dim: int):
@@ -115,7 +107,7 @@ def assign_value(phi: PureState, lam, r) -> float:
     r = as_hermitian(r)
     _require_qubit(r.dim)
     _require_qubit(phi.dim)
-    return float(_outcomes(phi, _lambda_value(lam), r)[0])
+    return float(_outcomes(phi, _lambdas(lam), r)[0])
 
 
 def average_over_lambda(phi: PureState, r) -> float:
@@ -131,44 +123,25 @@ def average_over_lambda(phi: PureState, r) -> float:
     return _outcomes(phi, LAMBDA_MIN, r)[1]
 
 
-@dataclass(frozen=True)
-class ValueAssignment:
-    """The outcome map of one (phi, lambda) subensemble.
-
-    Spectrum-valued and dispersion-free: squares (and any readout function)
-    of an operator share its axis, hence its sign, so outcomes
-    compose through functions instead of merely averaging correctly.
-    """
-
-    phi: PureState
-    lam: HiddenParameter
-
-    def __call__(self, r) -> float:
-        return assign_value(self.phi, self.lam, r)
-
-
 def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
-    """Wrap one subensemble's outcome map as a black-box functional.
+    """Wrap the outcome map of one (phi, lambda) subensemble as a black-box functional.
 
-    The wrapped map is normalized (identity maps to 1) but nowhere a trace
-    form: reconstruction from it must end in an additivity verdict, never
-    a normalization one.
+    The map is spectrum-valued, dispersion-free and normalized (identity
+    maps to 1) but nowhere a trace form: reconstruction from it must end in
+    an additivity verdict, never a normalization one.
     """
     _require_qubit(phi.dim)
-    lam = HiddenParameter(_lambda_value(lam))
-    assignment = ValueAssignment(phi, lam)
+    lam = float(_lambdas(lam))
     return ExpectationFunctional(
-        2, assignment, label=f"subensemble(lambda={lam.value})"
+        2, lambda r: assign_value(phi, lam, r), label=f"subensemble(lambda={lam})"
     )
 
 
-def lambda_grid(size: int) -> list[HiddenParameter]:
+def lambda_grid(size: int) -> np.ndarray:
     """Uniform deterministic grid over the parameter range, endpoints included."""
     if size < 2:
         raise ValidationError("lambda grid needs at least 2 points")
-    return [
-        HiddenParameter(float(x)) for x in np.linspace(LAMBDA_MIN, LAMBDA_MAX, size)
-    ]
+    return np.linspace(LAMBDA_MIN, LAMBDA_MAX, size)
 
 
 @dataclass(frozen=True)
@@ -183,18 +156,23 @@ class LambdaSample:
         return self.value_sum - self.value_r - self.value_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubensembleReport:
     """Per-parameter outcomes for a pair of quantities and their sum.
 
-    ``avg_delta`` comes from the closed-form averages, which are linear,
-    so it vanishes up to roundoff no matter how badly the per-parameter
-    deltas behave; ``violation_fraction`` is the share of grid points with
-    a nonzero delta.
+    The columns ``lambdas``, ``values_r``, ``values_s`` and ``values_sum``
+    are read-only arrays, one entry per parameter value.  ``avg_delta``
+    comes from the closed-form averages, which are linear, so it vanishes
+    up to roundoff no matter how badly the per-parameter deltas behave;
+    ``violation_fraction`` is the share of parameter values whose delta is
+    nonzero beyond DELTA_TOL relative to the outcomes it compares.
     """
 
     phi: PureState
-    samples: tuple[LambdaSample, ...]
+    lambdas: np.ndarray
+    values_r: np.ndarray
+    values_s: np.ndarray
+    values_sum: np.ndarray
     average_r: float
     average_s: float
     average_sum: float
@@ -202,29 +180,37 @@ class SubensembleReport:
     quantum_s: float
     quantum_sum: float
 
+    def __post_init__(self):
+        for column in (self.lambdas, self.values_r, self.values_s, self.values_sum):
+            column.flags.writeable = False
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.values_sum - self.values_r - self.values_s
+
+    @property
+    def samples(self) -> tuple[LambdaSample, ...]:
+        return tuple(LambdaSample(*row) for row in zip(*self._columns()))
+
+    def _columns(self) -> list[list]:
+        return [c.tolist() for c in (self.lambdas, self.values_r, self.values_s, self.values_sum)]
+
     @property
     def avg_delta(self) -> float:
         return self.average_sum - self.average_r - self.average_s
 
     @property
     def violation_fraction(self) -> float:
-        if not self.samples:
-            return 0.0
-        bad = sum(1 for sample in self.samples if abs(sample.delta) > DELTA_TOL)
-        return bad / len(self.samples)
+        scale = np.abs(self.values_r) + np.abs(self.values_s) + np.abs(self.values_sum)
+        bad = np.count_nonzero(np.abs(self.deltas) > DELTA_TOL * scale)
+        return bad / max(self.lambdas.size, 1)  # 0.0 for an empty lambda list
 
     def to_json(self) -> dict:
         return {
             "phi": [[float(z.real), float(z.imag)] for z in self.phi.vector],
             "pairs": [
-                {
-                    "lambda": sample.lam,
-                    "vR": sample.value_r,
-                    "vS": sample.value_s,
-                    "vRplusS": sample.value_sum,
-                    "delta": sample.delta,
-                }
-                for sample in self.samples
+                {"lambda": lam, "vR": vr, "vS": vs, "vRplusS": vsum, "delta": delta}
+                for lam, vr, vs, vsum, delta in zip(*self._columns(), self.deltas.tolist())
             ],
             "avg_delta": self.avg_delta,
             "violation_fraction": self.violation_fraction,
@@ -234,24 +220,30 @@ class SubensembleReport:
 def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleReport:
     """Tabulate outcome additivity of r, s, and r + s across subensembles.
 
-    The sum is formed at the operator level, the only meaning available
-    when r and s cannot be measured together; each row reports the three
-    assigned outcomes and their mismatch.
+    lambdas is any one-dimensional sequence or array of floats in
+    [-1/2, 1/2]; the report keeps its own copy.  The sum is formed at the
+    operator level, the only meaning available when r and s cannot be
+    measured together; each row reports the three assigned outcomes and
+    their mismatch.
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
     _require_qubit(r.dim)
     _require_qubit(s.dim)
     _require_qubit(phi.dim)
+    lams = _lambdas(lambdas)
+    if lams.ndim != 1:
+        raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
     combined = r + s
-    lams = np.array([_lambda_value(lam) for lam in lambdas], dtype=float)
     (vr, avg_r), (vs, avg_s), (vsum, avg_sum) = (
         _outcomes(phi, lams, op) for op in (r, s, combined)
     )
-    rows = zip(lams.tolist(), vr.tolist(), vs.tolist(), vsum.tolist())
     return SubensembleReport(
         phi=phi,
-        samples=tuple(LambdaSample(*row) for row in rows),
+        lambdas=lams,
+        values_r=vr,
+        values_s=vs,
+        values_sum=vsum,
         average_r=avg_r,
         average_s=avg_s,
         average_sum=avg_sum,

@@ -139,13 +139,6 @@ class HermitianOperator:
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 
-    def to_json(self) -> dict:
-        return matrix_to_json(self._matrix)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HermitianOperator":
-        return cls(matrix_from_json(obj))
-
 
 def as_hermitian(op) -> HermitianOperator:
     return op if isinstance(op, HermitianOperator) else HermitianOperator(op)
@@ -175,9 +168,14 @@ class Spectrum:
         v = self.eigenvectors[:, k]
         return np.outer(v, v.conj())
 
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
+        """Sum of f(eigenvalue) * eigenprojector, f mapping the whole eigenvalue array."""
+        vals = np.asarray(f(self.eigenvalues), dtype=np.float64)
+        return HermitianOperator((self.eigenvectors * vals) @ self.eigenvectors.conj().T)
+
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted eigenprojectors."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return self.apply(lambda values: values).matrix
 
 
 def eigendecompose(op) -> Spectrum:
@@ -209,10 +207,7 @@ def apply_function(f: Callable[[np.ndarray], np.ndarray], op) -> HermitianOperat
     same length (a numpy ufunc such as np.abs, or a function over arrays)
     and is called once per decomposition.
     """
-    spec = eigendecompose(op)
-    vals = np.asarray(f(spec.eigenvalues), dtype=np.float64)
-    m = (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
-    return HermitianOperator(m)
+    return eigendecompose(op).apply(f)
 
 
 def spectrum_contains(op, value: float, tol: float) -> bool:

@@ -26,7 +26,6 @@ from .operator_core import (
     FunctionDomainError,
     HermitianOperator,
     ValidationError,
-    apply_function,
     as_hermitian,
     commutator_norm,
     commutes,
@@ -190,10 +189,8 @@ class CommonGenerator:
         Raises FunctionDomainError when an eigenvalue lies farther than
         TABLE_MATCH_TOL from every label of a table.
         """
-        return (
-            apply_function(_readout(self.f_table), self.t),
-            apply_function(_readout(self.g_table), self.t),
-        )
+        spec = eigendecompose(self.t)
+        return spec.apply(_readout(self.f_table)), spec.apply(_readout(self.g_table))
 
 
 def _readout(table: dict[int, float]):

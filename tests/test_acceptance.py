@@ -23,8 +23,6 @@ from dispersionless.expectation_functionals import (
     trace_functional,
 )
 from dispersionless.hidden_variables import (
-    ValueAssignment,
-    HiddenParameter,
     average_over_lambda,
     subensemble_functional,
 )
@@ -207,8 +205,7 @@ def test_criterion_6_recombination_and_dispersion_freeness():
         worst_avg = max(worst_avg, abs(closed - quantum))
     for _ in range(500):
         phi = _random_qubit_state(rng)
-        lam = HiddenParameter(float(rng.uniform(-0.5, 0.5)))
-        assignment = ValueAssignment(phi, lam)
+        assignment = subensemble_functional(phi, float(rng.uniform(-0.5, 0.5)))
         op = random_hermitian(2, rng)
         square = HermitianOperator(op.matrix @ op.matrix)
         worst_disp = max(worst_disp, abs(assignment(square) - assignment(op) ** 2))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dispersionless.cli as cli
+from dispersionless import expressions, operator_core
 from dispersionless.cli import run_command
 from dispersionless.expressions import (
     BinOp,
@@ -187,6 +188,21 @@ class TestEvaluation:
 
     def test_offspec_annihilates(self):
         m = evaluate_matrix(parse_expr("offspec(SX + SY)"))
+        assert frobenius(m) <= 1e-12
+
+    @pytest.mark.parametrize("text", ["offspec(SX + SY)", "offspec(sq(SX) + 2*SZ)"])
+    def test_offspec_decomposes_once(self, monkeypatch, text):
+        calls = []
+        original = operator_core.eigendecompose
+
+        def counting(op):
+            calls.append(op)
+            return original(op)
+
+        for module in (operator_core, expressions):
+            monkeypatch.setattr(module, "eigendecompose", counting)
+        m = evaluate_matrix(parse_expr(text))
+        assert len(calls) == 1
         assert frobenius(m) <= 1e-12
 
     def test_abs_of_sigma_z(self):

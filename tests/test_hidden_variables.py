@@ -24,9 +24,7 @@ from dispersionless.expectation_functionals import (
     reconstruct_density,
 )
 from dispersionless.hidden_variables import (
-    HiddenParameter,
     UnsupportedDimensionError,
-    ValueAssignment,
     additivity_violation_report,
     assign_value,
     average_over_lambda,
@@ -69,16 +67,42 @@ def random_qubit_state(rng):
 
 class TestHiddenParameter:
     def test_range_enforced(self):
-        HiddenParameter(0.5)
-        HiddenParameter(-0.5)
+        r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
+        for lam in (0.5, -0.5):
+            assign_value(Z_PLUS, lam, r)
+            additivity_violation_report(Z_PLUS, r, s, [lam])
         with pytest.raises(ValidationError):
-            HiddenParameter(0.6)
+            assign_value(Z_PLUS, 0.6, r)
+        with pytest.raises(ValidationError):
+            additivity_violation_report(Z_PLUS, r, s, [0.6])
 
     def test_grid_is_inclusive_and_uniform(self):
         grid = lambda_grid(5)
-        assert [g.value for g in grid] == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        assert grid.tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
         with pytest.raises(ValidationError):
             lambda_grid(1)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (0.6, "0.6"), (float("nan"), "nan"), (-0.5000001, "-0.5000001"),
+    ])
+    def test_out_of_range_array_names_the_value_as_a_float(self, bad, shown):
+        r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
+        lams = np.array([0.0, 0.25, bad, 0.7])
+        message = f"hidden parameter {shown} outside [-0.5, 0.5]"
+        with pytest.raises(ValidationError) as exc:
+            additivity_violation_report(Z_PLUS, r, s, lams)
+        assert str(exc.value) == message
+        for call in (lambda: assign_value(Z_PLUS, np.float64(bad), r),
+                     lambda: subensemble_functional(Z_PLUS, bad)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_report_needs_a_one_dimensional_lambda_list(self):
+        r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
+        for lams in (0.25, [[0.0, 0.25]]):
+            with pytest.raises(ValidationError):
+                additivity_violation_report(Z_PLUS, r, s, lams)
 
 
 class TestAssignValue:
@@ -176,7 +200,7 @@ class TestAssignValue:
         c=st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
         f=st.sampled_from(sorted(OUTCOME_MAPS)),
         lam=st.integers(1, 12).flatmap(
-            lambda n: st.sampled_from([g.value for g in lambda_grid(2 * n + 1)])
+            lambda n: st.sampled_from(lambda_grid(2 * n + 1).tolist())
         ),
     )
     @example(label="z+", axis="SX+SY", a=1.0, c=0.0, f="-x", lam=0.0)
@@ -283,8 +307,8 @@ class TestAdditivityReport:
         r, s = random_hermitian(2, rng), random_hermitian(2, rng)
         grid = lambda_grid(101)
         report = additivity_violation_report(phi, r, s, grid)
-        for lam, sample in zip(grid, report.samples):
-            assert sample.lam == lam.value
+        for lam, sample in zip(grid.tolist(), report.samples):
+            assert sample.lam == lam
             assert sample.value_r == assign_value(phi, lam, r)
             assert sample.value_s == assign_value(phi, lam, s)
             assert sample.value_sum == assign_value(phi, lam, r + s)
@@ -318,6 +342,89 @@ class TestAdditivityReport:
         assert len(obj["pairs"]) == 4
         assert set(obj["pairs"][0]) == {"lambda", "vR", "vS", "vRplusS", "delta"}
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_json_pairs_match_samples(self, seed):
+        rng = RNG(1300 + seed)
+        phi = random_qubit_state(rng)
+        r, s = random_hermitian(2, rng), random_hermitian(2, rng)
+        report = additivity_violation_report(phi, r, s, rng.uniform(-0.5, 0.5, size=57))
+        pairs = report.to_json()["pairs"]
+        assert len(pairs) == len(report.samples) == 57
+        for pair, sample in zip(pairs, report.samples):
+            assert pair == {"lambda": sample.lam, "vR": sample.value_r, "vS": sample.value_s,
+                            "vRplusS": sample.value_sum, "delta": sample.delta}
+            assert all(type(v) is float for v in pair.values())
+        assert report.deltas.tolist() == [sample.delta for sample in report.samples]
+
+    def test_columns_are_read_only_copies(self):
+        lams = np.array([-0.5, -0.1, 0.2, 0.5])
+        report = additivity_violation_report(
+            Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), lams
+        )
+        before = report.to_json()
+        for column in (report.lambdas, report.values_r, report.values_s, report.values_sum):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        lams[:] = 0.0
+        assert report.lambdas.tolist() == [-0.5, -0.1, 0.2, 0.5]
+        assert report.to_json() == before
+
+    def test_empty_lambda_list(self):
+        report = additivity_violation_report(
+            Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), []
+        )
+        assert report.violation_fraction == 0.0
+        assert report.samples == ()
+        assert report.to_json()["pairs"] == []
+
+
+def _violations(phi_label, r, s):
+    phi = PureState.from_label(phi_label)
+    report = additivity_violation_report(
+        phi, HermitianOperator(r), HermitianOperator(s), lambda_grid(1000)
+    )
+    return report.violation_fraction
+
+
+class TestViolationScale:
+    """A delta counts relative to the outcomes it compares, so verdicts ignore scale."""
+
+    def test_large_parallel_pair_is_additive(self):
+        r = 1e8 * (SIGMA_X + 0.3 * SIGMA_Z)
+        assert _violations("x+", r, 0.7 * r + 0.3e8 * identity(2)) == 0.0
+
+    def test_unit_parallel_pair_is_additive(self):
+        r = SIGMA_X + 0.3 * SIGMA_Z
+        assert _violations("x+", r, 0.7 * r + 0.3 * identity(2)) == 0.0
+
+    def test_tiny_non_commuting_pair_violates_like_unit_scale(self):
+        assert _violations("x+", SIGMA_X, SIGMA_Y) == 1.0
+        assert _violations("x+", 1e-10 * SIGMA_X, 1e-10 * SIGMA_Y) == 1.0
+
+    def test_identity_multiples_are_additive(self):
+        assert _violations("x+", 2 * identity(2), 3 * identity(2)) == 0.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-6.0, 6.0),
+        parallel=st.booleans(),
+    )
+    def test_verdict_is_scale_covariant(self, seed, exponent, parallel):
+        rng = RNG(seed)
+        phi = random_qubit_state(rng)
+        r = random_hermitian(2, rng)
+        if parallel:
+            a, c = rng.uniform(-2.0, 2.0, size=2)
+            s = HermitianOperator(a * r.matrix + c * identity(2))
+        else:
+            s = random_hermitian(2, rng)
+        grid = lambda_grid(64)
+        unit = additivity_violation_report(phi, r, s, grid).violation_fraction
+        scale = 10.0 ** exponent
+        scaled = additivity_violation_report(phi, scale * r, scale * s, grid)
+        assert scaled.violation_fraction == unit
+        assert unit == (0.0 if parallel else 1.0)
+
 
 class TestSubensembleFunctional:
     def test_dispersion_free_on_sigma_x(self):
@@ -348,5 +455,6 @@ class TestSubensembleFunctional:
             assert isinstance(exc.value, AdditivityViolation)
 
     def test_value_assignment_is_callable(self):
-        va = ValueAssignment(Z_PLUS, HiddenParameter(0.25))
-        assert va(HermitianOperator(SIGMA_Z)) == 1.0
+        f = subensemble_functional(Z_PLUS, 0.25)
+        assert f(HermitianOperator(SIGMA_Z)) == 1.0
+        assert f.label == "subensemble(lambda=0.25)"

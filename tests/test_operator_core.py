@@ -237,6 +237,16 @@ class TestApplyFunction:
         np.testing.assert_allclose(seen[0], [-1.0, 2.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(out.matrix, np.diag([9.0, 1.0, 4.0]), atol=1e-12)
 
+    def test_spectrum_apply_maps_eigenvalues(self):
+        # oracle: f(T) and g(T) of one generator commute and match their closed forms
+        t = HermitianOperator(np.diag([2.0, -1.0, 0.5]))
+        spec = eigendecompose(t)
+        square, sign = spec.apply(np.square), spec.apply(np.sign)
+        assert isinstance(square, HermitianOperator)
+        np.testing.assert_allclose(square.matrix, np.diag([4.0, 1.0, 0.25]), atol=1e-12)
+        np.testing.assert_allclose(sign.matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+        assert frobenius(spec.apply(lambda x: x).matrix - spec.reconstruct()) == 0.0
+
     def test_indicator_rejects_negative_tolerance(self):
         with pytest.raises(ValidationError):
             indicator_outside([0.0], tol=-1e-9)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersionless import operator_core, symmetrized_algebra
 from dispersionless.ncpoly import NcPolynomial, evaluate_nc
 from dispersionless.operator_core import (
     FunctionDomainError,
@@ -233,6 +234,24 @@ class TestCommonGenerator:
                               {0: 3.0, 1: 4.0})
         with pytest.raises(FunctionDomainError, match="eigenvalue 0.5"):
             gen.reconstruct()
+
+    def test_reconstruct_decomposes_once(self, monkeypatch):
+        calls = []
+
+        def counting(op):
+            calls.append(op)
+            return eigendecompose(op)
+
+        for module in (operator_core, symmetrized_algebra):
+            monkeypatch.setattr(module, "eigendecompose", counting)
+        r = HermitianOperator(np.diag([1.0, 1.0, 2.0, 3.0]))
+        s = HermitianOperator(np.diag([5.0, 6.0, 6.0, 6.0]))
+        gen = common_generator(r, s)
+        calls.clear()
+        r2, s2 = gen.reconstruct()
+        assert len(calls) == 1
+        assert frobenius(r2.matrix - r.matrix) <= 1e-12
+        assert frobenius(s2.matrix - s.matrix) <= 1e-12
 
     def test_non_commuting_rejected_with_norm(self):
         with pytest.raises(ValidationError, match="commutator norm"):
