@@ -365,7 +365,9 @@ def cmd_hv_demo(args) -> int:
         f"    S:     {_fmt(report.average_s)} vs {_fmt(report.quantum_s)}",
         f"    R + S: {_fmt(report.average_sum)} vs {_fmt(report.quantum_sum)}",
     ]
-    payload = _payload("hv-demo", passed=True, **report.to_json())
+    # one JSON row per lambda point: built only when it is printed
+    payload = (_payload("hv-demo", passed=True, **report.to_json())
+               if args.output_format == "json" else None)
     _emit(args.output_format, payload, lines)
     return EXIT_OK
 

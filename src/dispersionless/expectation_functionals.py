@@ -11,7 +11,6 @@ dimension two or more.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +24,12 @@ from .operator_core import (
     Spectrum,
     ValidationError,
     as_hermitian,
+    as_hermitian_stack,
     eigendecompose,
     identity,
     matrix_to_json,
     random_hermitian,
+    random_hermitian_stack,
 )
 
 LIN_TOL = 1e-9
@@ -39,6 +40,10 @@ DM_GAP = 1e-6
 
 DEFAULT_PROBE_COUNT = 32
 _PROBE_SEED = 0x5EED
+# operators are evaluated in (k, d, d) bands of at most this many complex128
+# cells (64 KiB): fewer cells pay more per-band overhead, more raise the peak
+# memory of a reconstruction
+_BAND_CELLS = 4096
 
 
 class FunctionalViolation(Exception):
@@ -254,16 +259,27 @@ class ExpectationFunctional:
     One interface covers trace forms, pure states, deliberately nonlinear
     counterexamples, and hidden-parameter subensemble assignments, so they
     can all be fed to the same reconstruction and linearity checks.
+    ``evaluate`` maps one HermitianOperator to a real number;
+    ``evaluate_stack`` maps a validated (k, dim, dim) complex array to its
+    k real values.  Given only a stack formula, a functional evaluates one
+    operator as a band of one; given both, they must agree bit for bit.
     """
 
-    __slots__ = ("dim", "label", "_evaluate")
+    __slots__ = ("dim", "label", "_evaluate", "_evaluate_stack")
 
-    def __init__(self, dim: int, evaluate, label: str = ""):
+    def __init__(self, dim: int, evaluate=None, label: str = "", evaluate_stack=None):
         if dim < 1:
             raise ValidationError("functional dimension must be at least 1")
+        if evaluate is None and evaluate_stack is None:
+            raise ValidationError("a functional needs evaluate or evaluate_stack")
         self.dim = int(dim)
         self.label = label
+        if evaluate is None:
+            def evaluate(r):
+                # one operator is a band of one
+                return evaluate_stack(r.matrix[None])[0]
         self._evaluate = evaluate
+        self._evaluate_stack = evaluate_stack
 
     def __call__(self, op) -> float:
         op = as_hermitian(op)
@@ -272,6 +288,20 @@ class ExpectationFunctional:
                 f"operator dimension {op.dim} does not match functional dimension {self.dim}"
             )
         return float(self._evaluate(op))
+
+    def values(self, stack) -> np.ndarray:
+        """The functional on each slice of a (k, dim, dim) band of Hermitian matrices."""
+        stack = as_hermitian_stack(stack)
+        if stack.shape[1] != self.dim:
+            raise ValidationError(
+                f"operator dimension {stack.shape[1]} does not match functional "
+                f"dimension {self.dim}"
+            )
+        if self._evaluate_stack is None:
+            return np.array(
+                [float(self._evaluate(HermitianOperator(m))) for m in stack], dtype=np.float64
+            )
+        return np.asarray(self._evaluate_stack(stack), dtype=np.float64)
 
     def __repr__(self):
         return f"ExpectationFunctional({self.label or 'anonymous'}, dim={self.dim})"
@@ -298,17 +328,23 @@ def trace_functional(u, label: str = "") -> ExpectationFunctional:
     that defective linear functionals can be probed too.
     """
     op = u.operator if isinstance(u, DensityMatrix) else as_hermitian(u)
+    flat = op.matrix.ravel()
     return ExpectationFunctional(
         op.dim,
-        # vdot(r, u) = sum conj(r_ij) u_ij = tr(u r) for Hermitian r, in O(d^2)
-        lambda r: float(np.vdot(r.matrix, op.matrix).real),
         label=label or "trace-form",
+        # per flattened slice r, vecdot(r, u) = sum conj(r_ij) u_ij = tr(u r)
+        # for Hermitian r, in O(d^2)
+        evaluate_stack=lambda stack: np.vecdot(stack.reshape(len(stack), -1), flat).real,
     )
 
 
 def pure_state_functional(phi: PureState) -> ExpectationFunctional:
+    """<phi|r|phi> per operator r, the value pure_state_expectation gives."""
+    v = phi.vector
     return ExpectationFunctional(
-        phi.dim, lambda r: pure_state_expectation(phi, r), label="pure-state"
+        phi.dim,
+        label="pure-state",
+        evaluate_stack=lambda stack: np.vecdot(v, stack @ v).real,
     )
 
 
@@ -316,29 +352,37 @@ def max_eigenvalue_functional(dim: int) -> ExpectationFunctional:
     """The canonical nonlinear counterexample: top of the spectrum."""
     return ExpectationFunctional(
         dim,
+        # one operator is decomposed by eigendecompose, as every spectrum
+        # in the package is; a band by the same LAPACK driver, batched
+        # (eigvalsh's eigenvalue-only driver differs in the last bits)
         lambda r: float(eigendecompose(r).eigenvalues[-1]),
         label="max-eigenvalue",
+        evaluate_stack=lambda stack: np.linalg.eigh(stack)[0][:, -1],
     )
 
 
-def _basis_elements(dim: int):
-    # hermitian_basis order, one element at a time, for reconstruct_density
+def _band_length(dim: int) -> int:
+    # how many dim x dim operators one band holds
+    return max(1, _BAND_CELLS // (dim * dim))
+
+
+def _basis_bands(dim: int):
+    # hermitian_basis order, one (k, dim, dim) band at a time; each element
+    # is (m, n, entry at (m, n), entry at (n, m))
     if dim < 1:
         raise ValidationError("dimension must be at least 1")
-    for n in range(dim):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[n, n] = 1.0
-        yield HermitianOperator(p)
+    elements = [(n, n, 1.0, 1.0) for n in range(dim)]
     for m in range(dim):
         for n in range(m + 1, dim):
-            a = np.zeros((dim, dim), dtype=np.complex128)
-            a[m, n] = 1.0
-            a[n, m] = 1.0
-            yield HermitianOperator(a)
-            b = np.zeros((dim, dim), dtype=np.complex128)
-            b[m, n] = 1.0j
-            b[n, m] = -1.0j
-            yield HermitianOperator(b)
+            elements += [(m, n, 1.0, 1.0), (m, n, 1.0j, -1.0j)]
+    step = _band_length(dim)
+    for start in range(0, len(elements), step):
+        part = elements[start:start + step]
+        band = np.zeros((len(part), dim, dim), dtype=np.complex128)
+        for k, (m, n, above, below) in enumerate(part):
+            band[k, m, n] = above
+            band[k, n, m] = below
+        yield band
 
 
 def hermitian_basis(dim: int) -> list[HermitianOperator]:
@@ -348,7 +392,7 @@ def hermitian_basis(dim: int) -> list[HermitianOperator]:
     real and imaginary cross terms |m><n| + |n><m| and i(|m><n| - |n><m|):
     dim^2 operators in total.
     """
-    return list(_basis_elements(dim))
+    return [HermitianOperator(m) for band in _basis_bands(dim) for m in band]
 
 
 def canonical_noncommuting_probes(dim: int) -> list[HermitianOperator]:
@@ -393,26 +437,29 @@ def reconstruct_density(
     if abs(norm_value - 1.0) > lin_tol:
         raise NormalizationViolation(norm_value)
 
-    values = [f(op) for op in _basis_elements(dim)]
-    u = np.diag(np.array(values[:dim], dtype=np.complex128))
+    values = np.concatenate([f.values(band) for band in _basis_bands(dim)])
+    u = np.diag(values[:dim].astype(np.complex128))
     rows, cols = np.triu_indices(dim, 1)
-    upper = (np.array(values[dim::2]) + 1j * np.array(values[dim + 1::2])) / 2.0
+    upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
     u[rows, cols] = upper
     u[cols, rows] = upper.conj()
     u_op = HermitianOperator(u)
+    form = trace_functional(u_op)
 
-    # drawn lazily, so a violation on an early probe stops the random draws
-    rng = np.random.default_rng(seed)
-    probes = itertools.chain(
-        [HermitianOperator(identity(dim))],
-        canonical_noncommuting_probes(dim),
-        (random_hermitian(dim, rng) for _ in range(probe_count)),
-    )
-    for probe in probes:
-        lhs = f(probe)
-        rhs = float(np.vdot(probe.matrix, u).real)
+    for probe in [HermitianOperator(identity(dim)), *canonical_noncommuting_probes(dim)]:
+        lhs, rhs = f(probe), form(probe)
         if abs(lhs - rhs) > lin_tol:
             raise AdditivityViolation(probe, lhs, rhs)
+    # drawn band by band, so a failing band stops the random draws
+    rng = np.random.default_rng(seed)
+    step = _band_length(dim)
+    for start in range(0, probe_count, step):
+        band = random_hermitian_stack(dim, rng, min(step, probe_count - start))
+        lhs, rhs = f.values(band), form.values(band)
+        failed = np.abs(lhs - rhs) > lin_tol
+        if failed.any():
+            first = int(np.argmax(failed))
+            raise AdditivityViolation(HermitianOperator(band[first]), lhs[first], rhs[first])
 
     spec = eigendecompose(u_op)
     low = float(spec.eigenvalues.min())
@@ -450,7 +497,30 @@ def _monotone_commuting_pair(dim, rng):
     spec = eigendecompose(t)
     fvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
     gvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
-    return spec.apply(lambda _: fvals), spec.apply(lambda _: gvals)
+    return spec.apply(lambda _: fvals).matrix, spec.apply(lambda _: gvals).matrix
+
+
+def _deviations(f, r, s, a, b) -> np.ndarray:
+    # |f(a r + b s) - a f(r) - b f(s)| for a band of trials: r and s are
+    # (k, d, d) stacks, a and b their k weights
+    combined = f.values(r * a[:, None, None] + s * b[:, None, None])
+    return np.abs(combined - a * f.values(r) - b * f.values(s))
+
+
+def _max_deviation(f, worst: float, trials: int, draw) -> float:
+    # the running maximum, from worst, of the deviations of trials drawn one
+    # at a time by draw() as (r, s, a, b) and evaluated one band at a time
+    dim = f.dim
+    step = _band_length(dim)
+    for start in range(0, trials, step):
+        k = min(step, trials - start)
+        r, s = np.empty((2, k, dim, dim), dtype=np.complex128)
+        a, b = np.empty((2, k))
+        for i in range(k):
+            r[i], s[i], a[i], b[i] = draw()
+        for deviation in _deviations(f, r, s, a, b).tolist():
+            worst = max(worst, deviation)
+    return worst
 
 
 def check_linearity(
@@ -474,25 +544,21 @@ def check_linearity(
     rng = np.random.default_rng(seed)
     dim = f.dim
 
-    def deviation(r, s, a, b):
-        combined = f(a * r + b * s)
-        return abs(combined - a * f(r) - b * f(s))
+    def unrestricted_draw():
+        r, s = random_hermitian_stack(dim, rng, 2)
+        return r, s, *rng.uniform(-2.0, 2.0, size=2)
+
+    def commuting_draw():
+        return *_monotone_commuting_pair(dim, rng), *rng.uniform(0.0, 2.0, size=2)
 
     unrestricted = 0.0
     probes = canonical_noncommuting_probes(dim)
     if probes:
-        unrestricted = deviation(probes[0], probes[1], 1.0, 1.0)
-    for _ in range(trials):
-        r = random_hermitian(dim, rng)
-        s = random_hermitian(dim, rng)
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        unrestricted = max(unrestricted, deviation(r, s, float(a), float(b)))
-
-    commuting = 0.0
-    for _ in range(trials):
-        r, s = _monotone_commuting_pair(dim, rng)
-        a, b = rng.uniform(0.0, 2.0, size=2)
-        commuting = max(commuting, deviation(r, s, float(a), float(b)))
+        unit = np.ones(1)
+        unrestricted = float(_deviations(
+            f, probes[0].matrix[None], probes[1].matrix[None], unit, unit)[0])
+    unrestricted = _max_deviation(f, unrestricted, trials, unrestricted_draw)
+    commuting = _max_deviation(f, 0.0, trials, commuting_draw)
 
     return LinearityReport(
         trials=trials,

@@ -46,9 +46,43 @@ def as_square_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
+    _require_finite(m)
+    return m
+
+
+def _require_finite(m: np.ndarray):
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
-    return m
+
+
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    # squared Frobenius norm of each trailing square matrix of m; vdot on one
+    # matrix skips vecdot's call overhead and makes the same BLAS dot product
+    if m.ndim == 2:
+        return np.vdot(m, m).real
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
+
+
+def _any(flags) -> bool:
+    # .any() on the numpy bool of a single matrix costs a 0-d array round trip
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
+
+
+def _require_hermitian(m: np.ndarray):
+    """Raise unless every trailing square matrix of m is Hermitian.
+
+    The rule is |m - m*| <= HERM_TOL * max(1, |m|), compared in squares,
+    with |m| taken only when the deviation exceeds HERM_TOL; the error
+    names the deviation of the first matrix that breaks it.
+    """
+    squared = _squared_norms(m - m.conj().swapaxes(-1, -2))
+    broken = squared > HERM_TOL**2
+    if _any(broken):
+        broken &= squared > HERM_TOL**2 * _squared_norms(m)
+        if _any(broken):
+            deviation = math.sqrt(np.reshape(squared, -1)[np.argmax(broken)])
+            raise ValidationError(f"matrix is not Hermitian (deviation {deviation:.3e})")
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -85,12 +119,7 @@ class HermitianOperator:
             self._matrix = matrix._matrix
             return
         m = as_square_matrix(matrix)
-        deviation = frobenius(m - m.conj().T)
-        # the verdict of deviation > HERM_TOL * max(1, |m|), taking |m| only when needed
-        if deviation > HERM_TOL and deviation > HERM_TOL * frobenius(m):
-            raise ValidationError(
-                f"matrix is not Hermitian (deviation {deviation:.3e})"
-            )
+        _require_hermitian(m)
         m.flags.writeable = False
         self._matrix = m
 
@@ -142,6 +171,24 @@ class HermitianOperator:
 
 def as_hermitian(op) -> HermitianOperator:
     return op if isinstance(op, HermitianOperator) else HermitianOperator(op)
+
+
+def as_hermitian_stack(stack) -> np.ndarray:
+    """Validate a (k, d, d) band of Hermitian matrices in one vectorized step.
+
+    Every slice meets the rules HermitianOperator applies to one matrix and
+    fails them with the same messages.  Returns the band as a complex128
+    array, without copying one that already is.
+    """
+    try:
+        s = np.asarray(stack, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"not a complex matrix stack: {exc}") from exc
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] < 1:
+        raise ValidationError(f"expected a (k, d, d) stack of matrices, got shape {s.shape}")
+    _require_finite(s)
+    _require_hermitian(s)
+    return s
 
 
 @dataclass(frozen=True)
@@ -234,11 +281,24 @@ def commutes(a, b, tol: float = COMM_TOL) -> bool:
     return commutator_norm(a, b) <= tol * max(1.0, a.norm() * b.norm())
 
 
+def random_hermitian_stack(
+    dim: int, rng: np.random.Generator, count: int, scale: float = 1.0
+) -> np.ndarray:
+    """count matrices of standard complex Gaussian entries, each symmetrized to (G + G*)/2.
+
+    Each matrix draws its dim^2 real parts, then its dim^2 imaginary parts,
+    so the (count, dim, dim) result follows the stream of count successive
+    random_hermitian calls.
+    """
+    x = rng.standard_normal((count, 2, dim, dim))
+    g = x[:, 0] + 1j * x[:, 1]
+    g *= scale / math.sqrt(2.0)
+    return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     """Standard complex Gaussian entries, symmetrized to (G + G*)/2."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    g *= scale / math.sqrt(2.0)
-    return HermitianOperator((g + g.conj().T) / 2.0)
+    return HermitianOperator(random_hermitian_stack(dim, rng, 1, scale)[0])
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

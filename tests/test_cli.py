@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dispersionless.cli as cli
-from dispersionless import expressions, operator_core
+from dispersionless import expressions, hidden_variables, operator_core
 from dispersionless.cli import run_command
 from dispersionless.expressions import (
     BinOp,
@@ -25,8 +25,10 @@ from dispersionless.expressions import (
     parse_hermitian,
     pretty,
 )
+from dispersionless.expectation_functionals import PureState
 from dispersionless.operator_core import (
     SIGMA_X,
+    SIGMA_Z,
     frobenius,
     identity,
     matrix_to_json,
@@ -290,6 +292,22 @@ class TestCliCommands:
         assert data["violation_fraction"] == 1.0
         assert abs(data["avg_delta"]) <= 1e-12
         assert len(data["pairs"]) == 1000
+
+    def test_hv_demo_text_builds_no_json(self, capsys, monkeypatch):
+        argv = ("hv-demo", "--phi", "x+", "--a", "SZ", "--b", "SX", "--lambda-grid-size", "5")
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        report = hidden_variables.additivity_violation_report(
+            PureState.from_label("x+"), SIGMA_Z, SIGMA_X, hidden_variables.lambda_grid(5))
+        expected = {"schema": 1, "command": "hv-demo", "passed": True, **report.to_json()}
+        assert json_out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+        def refuse(self):
+            raise AssertionError("text mode built the JSON payload")
+
+        monkeypatch.setattr(hidden_variables.SubensembleReport, "to_json", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "over 5 lambda points:" in out
 
     def test_hv_demo_grid_size(self, capsys):
         code, out, _ = run(

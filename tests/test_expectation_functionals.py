@@ -39,9 +39,11 @@ from dispersionless.operator_core import (
     SIGMA_Y,
     SIGMA_Z,
     ValidationError,
+    eigendecompose,
     frobenius,
     identity,
     random_hermitian,
+    random_hermitian_stack,
 )
 
 RNG = np.random.default_rng
@@ -179,13 +181,13 @@ class TestReconstruction:
 
     def test_violation_on_identity_draws_no_random_probe(self, monkeypatch):
         draws = []
-        original = ef.random_hermitian
+        original = ef.random_hermitian_stack
 
-        def counting(dim, rng, *args):
-            draws.append(dim)
-            return original(dim, rng, *args)
+        def counting(dim, rng, count, *args):
+            draws.extend([dim] * count)
+            return original(dim, rng, count, *args)
 
-        monkeypatch.setattr(ef, "random_hermitian", counting)
+        monkeypatch.setattr(ef, "random_hermitian_stack", counting)
         with pytest.raises(AdditivityViolation) as exc:
             reconstruct_density(max_eigenvalue_functional(4))
         assert draws == []
@@ -196,6 +198,50 @@ class TestReconstruction:
         draws.clear()
         reconstruct_density(trace_functional(DensityMatrix.random(4, RNG(9))))
         assert draws == [4] * DEFAULT_PROBE_COUNT
+
+    def test_pure_state_holds_one_band_at_a_time(self):
+        v = RNG(7).standard_normal(32) + 1j * RNG(8).standard_normal(32)
+        phi = PureState.normalized(v)
+        f = pure_state_functional(phi)
+        tracemalloc.start()
+        try:
+            out = reconstruct_density(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert frobenius(out.matrix - phi.projector()) <= 1e-10
+
+    def test_failing_band_stops_at_its_first_failing_probe(self):
+        # linear on the basis, the identity and the canonical triple (at most
+        # two nonzero cells each), but not on a full random matrix
+        dim, seed, count = 16, 3, 64
+        u0 = DensityMatrix.random(dim, RNG(12))
+        probes = random_hermitian_stack(dim, RNG(seed), count)
+
+        def kink(m):
+            return 1e-8 * np.abs(m[..., 0, 0] * m[..., 1, 1] * m[..., 2, 3])
+
+        # three probes fail, by margins far above roundoff
+        ranked = np.sort(kink(probes))
+        tol = float(ranked[-4] + ranked[-3]) / 2
+        first = int(np.flatnonzero(kink(probes) > tol)[0])
+        seen = []
+
+        def evaluate(r):
+            seen.append(r.matrix)
+            return np.vdot(r.matrix, u0.matrix).real + kink(r.matrix)
+
+        with pytest.raises(AdditivityViolation) as exc:
+            reconstruct_density(
+                ExpectationFunctional(dim, evaluate), probe_count=count, seed=seed, lin_tol=tol)
+        assert np.array_equal(exc.value.probe.matrix, probes[first])
+        assert abs(exc.value.delta - kink(probes[first])) <= 1e-15
+        # the failing band was evaluated whole, and no later band was drawn
+        band = ef._band_length(dim)
+        drawn = min(count, (first // band + 1) * band)
+        assert len(seen) == dim * dim + 1 + 4 + drawn
+        assert all(np.array_equal(a, b) for a, b in zip(seen[-drawn:], probes[:drawn]))
 
     def test_pure_state_functional(self):
         out = reconstruct_density(pure_state_functional(PureState.from_label("z+")))
@@ -263,6 +309,77 @@ class TestTraceFormValue:
             after = trace_functional(HermitianOperator(w @ u @ w.conj().T))(
                 HermitianOperator(w @ r @ w.conj().T))
             assert abs(after - before) <= 1e-12 * (1 + frobenius(u) * frobenius(r))
+
+
+def _stack_functionals(dim, rng):
+    """The three built-ins given by a stack formula, on random data.
+
+    Each comes with the one-operator formula of the same value: tr(u r) as
+    vdot, pure_state_expectation, and the top of eigendecompose.
+    """
+    rho = DensityMatrix.random(dim, rng)
+    phi = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return [
+        (trace_functional(rho), lambda r: float(np.vdot(r.matrix, rho.matrix).real)),
+        (pure_state_functional(phi), lambda r: pure_state_expectation(phi, r)),
+        (max_eigenvalue_functional(dim), lambda r: float(eigendecompose(r).eigenvalues[-1])),
+    ]
+
+
+def _black_box(f):
+    # the same functional, evaluated one operator at a time
+    return ExpectationFunctional(f.dim, f, label=f.label)
+
+
+def _outcome(f, **kwargs):
+    try:
+        out = reconstruct_density(f, **kwargs)
+    except AdditivityViolation as exc:
+        return exc.probe.matrix.tobytes(), exc.lhs, exc.rhs
+    except (NormalizationViolation, PositivityViolation) as exc:
+        return str(exc)
+    return out.matrix.tobytes()
+
+
+class TestStackEvaluation:
+    """The band path against the per-operator path: equal bits, not a tolerance."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+    def test_stack_values_equal_calls(self, dim):
+        rng = RNG(90 + dim)
+        basis = np.array([op.matrix for op in hermitian_basis(dim)])
+        probes = random_hermitian_stack(dim, rng, 8)
+        for f, one_operator in _stack_functionals(dim, rng):
+            for stack in (basis, probes):
+                expected = [one_operator(HermitianOperator(m)) for m in stack]
+                assert f.values(stack).tolist() == expected, f.label
+                assert [f(HermitianOperator(m)) for m in stack] == expected, f.label
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+    def test_reconstruction_equals_black_box(self, dim):
+        rng = RNG(100 + dim)
+        for f, _ in _stack_functionals(dim, rng):
+            for kwargs in ({}, {"probe_count": 5, "seed": 3, "lin_tol": 1e-15}):
+                assert _outcome(f, **kwargs) == _outcome(_black_box(f), **kwargs), f.label
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+    def test_linearity_report_equals_black_box(self, dim):
+        rng = RNG(110 + dim)
+        for f, _ in _stack_functionals(dim, rng):
+            assert check_linearity(f, 5, 7) == check_linearity(_black_box(f), 5, 7), f.label
+
+    def test_a_functional_needs_a_formula(self):
+        with pytest.raises(ValidationError, match="evaluate or evaluate_stack"):
+            ExpectationFunctional(2)
+
+    def test_values_validates_the_band(self):
+        f = trace_functional(DensityMatrix.maximally_mixed(3))
+        with pytest.raises(ValidationError, match="does not match functional dimension 3"):
+            f.values(np.zeros((2, 2, 2)))
+        band = np.zeros((3, 3, 3), dtype=np.complex128)
+        band[1, 0, 1] = 1.0
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            f.values(band)
 
 
 class TestCheckLinearity:

@@ -20,6 +20,7 @@ from dispersionless.operator_core import (
     SIGMA_Z,
     ValidationError,
     apply_function,
+    as_hermitian_stack,
     as_square_matrix,
     commutator_norm,
     commutes,
@@ -30,6 +31,7 @@ from dispersionless.operator_core import (
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
+    random_hermitian_stack,
     spectrum_contains,
 )
 
@@ -77,11 +79,35 @@ class TestValidation:
         deviation = np.linalg.norm(m - m.conj().T)
         threshold = HERM_TOL * max(1.0, np.linalg.norm(m))
         assert abs(deviation / threshold - factor) < 1e-3
+        # the same rule holds for each slice of a band
+        band = np.stack([h, m, -h])
         if factor > 1:
             with pytest.raises(ValidationError, match="not Hermitian"):
                 HermitianOperator(m)
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                as_hermitian_stack(band)
         else:
             assert HermitianOperator(m).dim == 3
+            assert as_hermitian_stack(band) is band
+
+    @pytest.mark.parametrize("bad", [
+        [[0, 1], [0, 0]],
+        [[1, 2j], [2j, 1]],
+        [[1, np.nan], [np.nan, 1]],
+        [[np.inf, 0], [0, 1]],
+    ], ids=["upper", "imaginary", "nan", "inf"])
+    def test_band_errors_match_single_operator(self, bad):
+        with pytest.raises(ValidationError) as single:
+            HermitianOperator(bad)
+        band = np.stack([SIGMA_X, SIGMA_Z, np.array(bad, dtype=complex), SIGMA_Y, 2 * SIGMA_X])
+        with pytest.raises(ValidationError) as banded:
+            as_hermitian_stack(band)
+        assert str(banded.value) == str(single.value)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2, 2), (2, 0, 0)])
+    def test_band_shape_enforced(self, shape):
+        with pytest.raises(ValidationError, match="stack"):
+            as_hermitian_stack(np.zeros(shape))
 
     def test_accepts_hermitian_with_complex_entries(self):
         op = HermitianOperator([[2, 1 - 1j], [1 + 1j, 3]])
@@ -104,6 +130,17 @@ class TestValidation:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             HermitianOperator(SIGMA_X) + HermitianOperator(identity(3))
+
+
+class TestRandomHermitian:
+    @pytest.mark.parametrize("dim, count", [(1, 3), (2, 1), (2, 7), (3, 5), (8, 4), (32, 2)])
+    def test_band_draw_equals_successive_draws(self, dim, count):
+        banded, single = RNG(dim * 100 + count), RNG(dim * 100 + count)
+        band = random_hermitian_stack(dim, banded, count)
+        assert band.shape == (count, dim, dim)
+        for m in band:
+            assert m.tobytes() == random_hermitian(dim, single).matrix.tobytes()
+        assert banded.bit_generator.state == single.bit_generator.state
 
 
 class TestEigendecompose:
