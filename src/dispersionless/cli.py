@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .expectation_functionals import (
     DensityMatrix,
     ExpectationFunctional,
@@ -60,6 +62,8 @@ MAX_DIM = 32
 MAX_TRIALS = 10_000
 MAX_LAMBDA_GRID_SIZE = 1_000_000
 
+JSON_INDENT = 2
+
 
 class CliInputError(Exception):
     """Bad command-line input outside the expression language."""
@@ -101,8 +105,44 @@ def _payload(command: str, **fields) -> dict:
     return out
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=JSON_INDENT, sort_keys=True)
+
+
 def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
+
+
+def _json_rows(columns: dict[str, np.ndarray]) -> str:
+    """The text _dumps gives, as the value of a top-level key, for the list
+    of row objects {key: column[i]} of equal-length float64 columns.
+
+    Each column is reduced to its distinct bit patterns, so -0.0 stays apart
+    from 0.0, and those values are formatted by one json.dumps call, which
+    gives the stdlib's text (float repr, NaN, Infinity) by construction.
+    The rows are then filled into one %-template in sorted key order.
+    """
+    keys = sorted(columns)
+    count = len(columns[keys[0]])
+    if count == 0:
+        return "[]"
+    item = "\n" + " " * (2 * JSON_INDENT)
+    row = "{" + ",".join(f"{item}{' ' * JSON_INDENT}{json.dumps(key)}: %s" for key in keys)
+    row += item + "}"
+    cells = np.empty((count, len(keys)), dtype=object)
+    for j, key in enumerate(keys):
+        bits, inverse = np.unique(columns[key].view(np.int64), return_inverse=True)
+        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        cells[:, j] = np.array(texts, dtype=object)[inverse]
+    rows = ("," + item).join([row] * count) % tuple(cells.ravel().tolist())
+    return "[" + item + rows + "\n" + " " * JSON_INDENT + "]"
+
+
+def _hv_demo_json(report) -> str:
+    """_dumps of the hv-demo payload, with the "pairs" rows written from the report's columns."""
+    header = _dumps(_payload("hv-demo", passed=True, **report.to_json(pairs=False)))
+    # a quote inside a JSON string is escaped, so this is the top-level key
+    return header.replace('"pairs": []', '"pairs": ' + _json_rows(report.columns), 1)
 
 
 def _emit(output_format: str, payload: dict, lines: list[str]):
@@ -365,10 +405,7 @@ def cmd_hv_demo(args) -> int:
         f"    S:     {_fmt(report.average_s)} vs {_fmt(report.quantum_s)}",
         f"    R + S: {_fmt(report.average_sum)} vs {_fmt(report.quantum_sum)}",
     ]
-    # one JSON row per lambda point: built only when it is printed
-    payload = (_payload("hv-demo", passed=True, **report.to_json())
-               if args.output_format == "json" else None)
-    _emit(args.output_format, payload, lines)
+    print(_hv_demo_json(report) if args.output_format == "json" else "\n".join(lines))
     return EXIT_OK
 
 

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expectation_functionals import ExpectationFunctional, PureState, pure_state_expectation
-from .operator_core import (
-    HermitianOperator,
-    ValidationError,
-    as_hermitian,
-)
+from .operator_core import ValidationError, as_hermitian
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
@@ -61,39 +57,60 @@ def _require_qubit(dim: int):
         )
 
 
-def _axis_decomposition(op: HermitianOperator):
-    """Split a 2x2 Hermitian operator into trace part, signed weight, and axis.
+# a 2x2 complex matrix read as 8 floats holds (re, im) of m00, m01, m10, m11;
+# its Pauli coefficients tr(m sigma_k) / 2 are (f2 + f4, f5 - f3, f0 - f6) / 2
+_PAULI_FIRST = [2, 5, 0]
+_PAULI_SECOND = [4, 3, 6]
+_PAULI_SECOND_SIGN = np.array([1.0, -1.0, -1.0])
+# a row of entries in {-1, 0, 1} has, against these weights, the sign of its
+# first nonzero entry (4 > 2 + 1 and 2 > 1)
+_LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
+_SMALLEST = np.finfo(np.float64).smallest_subnormal
+
+
+def _axis_decomposition(stack: np.ndarray):
+    """Split each matrix of a (k, 2, 2) Hermitian band into trace part, signed weight, and axis.
 
     The axis is the canonical representative of the Pauli direction: its
     first component larger than DELTA_TOL (the axis has unit norm) is
     positive, and the weight carries the sign.  All operators sharing one
     measurement axis, up to roundoff in the other components, therefore
-    share one sign variable.
+    share one sign variable.  A multiple of the identity has weight 0 and
+    the zero axis.
     """
-    m = op.matrix
-    base = float(np.trace(m).real) / 2.0
-    # Pauli coefficients tr(m sigma_k) / 2, read off the entries
-    v = np.array([m[0, 1].real + m[1, 0].real, m[1, 0].imag - m[0, 1].imag,
-                  m[0, 0].real - m[1, 1].real]) / 2.0
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return base, 0.0, np.zeros(3)
-    axis = v / norm
-    # a unit 3-vector has a component of size >= 1/sqrt(3), so one exists
-    if axis[np.abs(axis) > DELTA_TOL][0] < 0.0:
-        return base, -norm, -axis
-    return base, norm, axis
+    f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
+    base = (f[:, 0] + f[:, 6]) / 2.0
+    v = (f[:, _PAULI_FIRST] + f[:, _PAULI_SECOND] * _PAULI_SECOND_SIGN) / 2.0
+    norm = np.sqrt(np.vecdot(v, v))
+    # v vanishes where its norm does, and a positive norm is at least the
+    # smallest subnormal, so this divides by the norm wherever it is positive
+    axis = v / np.maximum(norm, _SMALLEST)[:, None]
+    # the sign of the first component above DELTA_TOL; a unit 3-vector has a
+    # component of size >= 1/sqrt(3), so one exists unless the axis is zero
+    lead = np.vecdot(np.copysign(np.abs(axis) > DELTA_TOL, axis), _LEAD_WEIGHTS)
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    return base, sign * norm, sign[:, None] * axis
 
 
-def _outcomes(phi: PureState, lams, op: HermitianOperator):
-    """Outcomes of op at each lambda, and their closed-form average over lambda."""
-    base, weight, axis = _axis_decomposition(op)
+def _outcomes(bloch: np.ndarray, lams: np.ndarray, stack: np.ndarray):
+    """Outcomes of each operator of a (k, 2, 2) band at each lambda, and their averages.
+
+    The outcomes have shape (k,) + lams.shape, one contiguous row per
+    operator; the closed-form averages over lambda have shape (k,).  One
+    operator is a band of one.
+    """
+    base, weight, axis = _axis_decomposition(stack)
     # the sign integrates to (Bloch . axis) over the parameter range
-    projection = float(phi.bloch() @ axis)
+    projection = np.vecdot(axis, bloch)
+    row = (-1,) + (1,) * lams.ndim
     # sign(0) is +1 by convention, and thresholds within DELTA_TOL of the
     # tie count as 0; the tie set has measure zero and never moves an average
-    signs = np.where(lams + 0.5 * projection >= -DELTA_TOL, 1.0, -1.0)
-    return base + weight * signs, base + weight * projection
+    plus = lams + (0.5 * projection).reshape(row) >= -DELTA_TOL
+    # base + weight * (+-1), with the sign applied to the weight: the same bits
+    weight_row = weight.reshape(row)
+    outcomes = np.where(plus, weight_row, -weight_row)
+    outcomes += base.reshape(row)
+    return outcomes, base + weight * projection
 
 
 def assign_value(phi: PureState, lam, r) -> float:
@@ -107,7 +124,7 @@ def assign_value(phi: PureState, lam, r) -> float:
     r = as_hermitian(r)
     _require_qubit(r.dim)
     _require_qubit(phi.dim)
-    return float(_outcomes(phi, _lambdas(lam), r)[0])
+    return float(_outcomes(phi.bloch(), _lambdas(lam), r.matrix[None])[0][0])
 
 
 def average_over_lambda(phi: PureState, r) -> float:
@@ -120,7 +137,7 @@ def average_over_lambda(phi: PureState, r) -> float:
     _require_qubit(r.dim)
     _require_qubit(phi.dim)
     # the average does not depend on the lambda passed
-    return _outcomes(phi, LAMBDA_MIN, r)[1]
+    return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), r.matrix[None])[1][0])
 
 
 def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
@@ -128,12 +145,16 @@ def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
 
     The map is spectrum-valued, dispersion-free and normalized (identity
     maps to 1) but nowhere a trace form: reconstruction from it must end in
-    an additivity verdict, never a normalization one.
+    an additivity verdict, never a normalization one.  It evaluates whole
+    bands with the formula assign_value applies to one operator.
     """
     _require_qubit(phi.dim)
-    lam = float(_lambdas(lam))
+    lam = _lambdas(lam)
+    bloch = phi.bloch()
     return ExpectationFunctional(
-        2, lambda r: assign_value(phi, lam, r), label=f"subensemble(lambda={lam})"
+        2,
+        label=f"subensemble(lambda={float(lam)})",
+        evaluate_stack=lambda stack: _outcomes(bloch, lam, stack)[0],
     )
 
 
@@ -189,11 +210,15 @@ class SubensembleReport:
         return self.values_sum - self.values_r - self.values_s
 
     @property
-    def samples(self) -> tuple[LambdaSample, ...]:
-        return tuple(LambdaSample(*row) for row in zip(*self._columns()))
+    def columns(self) -> dict[str, np.ndarray]:
+        """Each per-parameter column under its key in the JSON "pairs" rows."""
+        return {"lambda": self.lambdas, "vR": self.values_r, "vS": self.values_s,
+                "vRplusS": self.values_sum, "delta": self.deltas}
 
-    def _columns(self) -> list[list]:
-        return [c.tolist() for c in (self.lambdas, self.values_r, self.values_s, self.values_sum)]
+    @property
+    def samples(self) -> tuple[LambdaSample, ...]:
+        columns = (self.lambdas, self.values_r, self.values_s, self.values_sum)
+        return tuple(LambdaSample(*row) for row in zip(*(c.tolist() for c in columns)))
 
     @property
     def avg_delta(self) -> float:
@@ -205,13 +230,17 @@ class SubensembleReport:
         bad = np.count_nonzero(np.abs(self.deltas) > DELTA_TOL * scale)
         return bad / max(self.lambdas.size, 1)  # 0.0 for an empty lambda list
 
-    def to_json(self) -> dict:
+    def to_json(self, pairs: bool = True) -> dict:
+        """The report as a JSON object, with one "pairs" row per parameter value.
+
+        With pairs=False the "pairs" list is left empty, for a writer that
+        renders the rows from ``columns`` itself.
+        """
+        columns = self.columns if pairs else {}
+        rows = zip(*(c.tolist() for c in columns.values()))
         return {
             "phi": [[float(z.real), float(z.imag)] for z in self.phi.vector],
-            "pairs": [
-                {"lambda": lam, "vR": vr, "vS": vs, "vRplusS": vsum, "delta": delta}
-                for lam, vr, vs, vsum, delta in zip(*self._columns(), self.deltas.tolist())
-            ],
+            "pairs": [dict(zip(columns, row)) for row in rows],
             "avg_delta": self.avg_delta,
             "violation_fraction": self.violation_fraction,
         }
@@ -235,9 +264,11 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
     combined = r + s
-    (vr, avg_r), (vs, avg_s), (vsum, avg_sum) = (
-        _outcomes(phi, lams, op) for op in (r, s, combined)
+    values, averages = _outcomes(
+        phi.bloch(), lams, np.array([r.matrix, s.matrix, combined.matrix])
     )
+    vr, vs, vsum = values
+    avg_r, avg_s, avg_sum = averages.tolist()
     return SubensembleReport(
         phi=phi,
         lambdas=lams,

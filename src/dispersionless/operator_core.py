@@ -18,7 +18,8 @@ HERM_TOL = 1e-10
 FUNCALC_TOL = 1e-9
 COMM_TOL = 1e-9
 
-# eigenvalues closer than this are treated as one degenerate cluster
+# eigenvalues closer than this, relative to the spectral radius of their
+# operator, are treated as one degenerate cluster
 DEGENERACY_GAP = 1e-8
 # how far a computed eigenvalue of a common generator may sit from the
 # integer label it is read out as
@@ -275,10 +276,13 @@ def commutator_norm(a, b) -> float:
 
 
 def commutes(a, b, tol: float = COMM_TOL) -> bool:
-    """Whether ||AB - BA|| <= tol * max(1, ||A||·||B||); every commutation verdict uses it."""
+    """Whether ||AB - BA|| <= tol * ||A||·||B||; every commutation verdict uses it.
+
+    The rule is relative, so the verdict does not change under A -> cA.
+    """
     a = as_hermitian(a)
     b = as_hermitian(b)
-    return commutator_norm(a, b) <= tol * max(1.0, a.norm() * b.norm())
+    return commutator_norm(a, b) <= tol * a.norm() * b.norm()
 
 
 def random_hermitian_stack(

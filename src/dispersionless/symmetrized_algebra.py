@@ -208,12 +208,14 @@ def _readout(table: dict[int, float]):
     return read
 
 
-def _clusters(values: np.ndarray) -> list[tuple[int, int]]:
+def _clusters(values: np.ndarray, radius: float) -> list[tuple[int, int]]:
     # ascending input; split where the gap exceeds the degeneracy threshold
+    # relative to the spectral radius of the operator the values belong to
+    gap = DEGENERACY_GAP * radius
     bounds = []
     start = 0
     for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > DEGENERACY_GAP:
+        if k == len(values) or values[k] - values[k - 1] > gap:
             bounds.append((start, k))
             start = k
     return bounds
@@ -244,12 +246,17 @@ def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
     f_table: dict[int, float] = {}
     g_table: dict[int, float] = {}
     label = 0
-    for i0, i1 in _clusters(spec_r.eigenvalues):
+    # spectral radii, read off the ends of the ascending spectra
+    radius_r, radius_s = (max(-float(spec.eigenvalues[0]), float(spec.eigenvalues[-1]))
+                          for spec in (spec_r, spec_s))
+    for i0, i1 in _clusters(spec_r.eigenvalues, radius_r):
         basis = spec_r.eigenvectors[:, i0:i1]
         r_val = _nearest(spec_r.eigenvalues, np.mean(spec_r.eigenvalues[i0:i1]))
         block = basis.conj().T @ s.matrix @ basis
         sub = eigendecompose(HermitianOperator((block + block.conj().T) / 2))
-        for j0, j1 in _clusters(sub.eigenvalues):
+        # the restriction of s is clustered on the scale of s itself, so a
+        # block that vanishes up to roundoff stays one cluster
+        for j0, j1 in _clusters(sub.eigenvalues, radius_s):
             joint = basis @ sub.eigenvectors[:, j0:j1]
             t += label * (joint @ joint.conj().T)
             f_table[label] = r_val

@@ -1,13 +1,19 @@
 """Expression language and command-line behavior tests."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dispersionless.cli as cli
 from dispersionless import expressions, hidden_variables, operator_core
@@ -32,6 +38,7 @@ from dispersionless.operator_core import (
     frobenius,
     identity,
     matrix_to_json,
+    random_hermitian,
 )
 
 CORPUS = [
@@ -414,6 +421,38 @@ class TestCliCommands:
         assert data["generator"] is None
         assert abs(data["commutator_square_norm"] - 4 * math.sqrt(2)) <= 1e-12
 
+    def test_jointmeas_tiny_non_commuting_pair(self, capsys):
+        # the commutator norm 2.8e-10 is small, but so are the operators
+        code, out, _ = run(capsys, "jointmeas", "--a", "0.00001*SX", "--b", "0.00001*SY")
+        assert code == 0
+        assert "verdict: not jointly measurable" in out
+        _, out, _ = run(capsys, "jointmeas", "--a", "0.00001*SX", "--b", "0.00001*SY",
+                        "--format", "json")
+        data = json.loads(out)
+        assert data["jointly_measurable"] is False
+        assert data["generator"] is None
+
+    def test_jointmeas_tiny_eigenvalue_gap(self, capsys):
+        # the eigenvalues +-1e-9 of B are far apart on the scale of B
+        code, out, _ = run(capsys, "jointmeas", "--a", "I", "--b", "0.000000001*SZ",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["jointly_measurable"] is True
+        assert sorted(data["generator"]["g_table"].values()) == [-1e-9, 1e-9]
+
+    def test_jointmeas_gap_small_against_identity_part(self, capsys):
+        # the clustering gap is relative to the spectral radius, not to the
+        # spread: 0.002 is below 1e-8 * 1e6, so the two eigenvalues of A are
+        # one cluster and f(T) = 999999.999 * I misses A by 1.4e-9 of its norm
+        code, out, _ = run(capsys, "jointmeas", "--a", "1000000*I + 0.001*SZ", "--b", "I",
+                           "--format", "json")
+        assert code == 0
+        gen = json.loads(out)["generator"]
+        assert gen["f_table"] == {"0": 999999.999}
+        assert gen["g_table"] == {"0": 1.0}
+        assert gen["t"]["entries"] == [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
     def test_jointmeas_non_hermitian_expr(self, capsys):
         code, _, err = run(capsys, "jointmeas", "--a", "SX * SY", "--b", "SZ")
         assert code == 2
@@ -693,6 +732,73 @@ class TestReconstructOptions:
         )
         assert code == 2
         assert_refused(fmt, out, err, "reconstruct", message)
+
+
+def hv_demo_payload(report) -> dict:
+    """The hv-demo JSON payload with the rows of SubensembleReport.to_json."""
+    return {"schema": 1, "command": "hv-demo", "passed": True, **report.to_json()}
+
+
+class TestHvDemoRows:
+    """hv-demo writes its rows from the report's columns, with the bytes of json.dumps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 3000),
+        exponent=st.integers(-12, 12),
+        kind=st.sampled_from(["random", "parallel", "identity", "zero"]),
+    )
+    def test_stdout_equals_stdlib_dump(self, seed, size, exponent, kind):
+        rng = np.random.default_rng(seed)
+        r = 10.0**exponent * random_hermitian(2, rng).matrix
+        s = {
+            "random": random_hermitian(2, rng).matrix,
+            "parallel": -0.5 * r + 3.0 * identity(2),
+            "identity": identity(2),
+            "zero": 0.0 * r,
+        }[kind]
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp) / name) for name in ("phi.json", "r.json", "s.json")]
+            Path(paths[0]).write_text(json.dumps([[z.real, z.imag] for z in psi]))
+            Path(paths[1]).write_text(json.dumps(matrix_to_json(r)))
+            Path(paths[2]).write_text(json.dumps(matrix_to_json(s)))
+            phi_spec, r_spec, s_spec = (f"@{path}" for path in paths)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_command(["hv-demo", "--phi", phi_spec, "--a", r_spec, "--b", s_spec,
+                                    "--lambda-grid-size", str(size), "--format", "json"])
+            report = hidden_variables.additivity_violation_report(
+                cli.state_from_spec(phi_spec), parse_hermitian(r_spec), parse_hermitian(s_spec),
+                hidden_variables.lambda_grid(size))
+        assert code == 0
+        expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == expected
+
+    def test_special_values(self):
+        special = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.0, 1.0, -0.0, 0.1, -1e300, 1.0]
+        columns = [np.roll(np.array(special), shift) for shift in (0, 1, 4, 9)]
+        report = hidden_variables.SubensembleReport(
+            PureState.from_label("y-"), *columns,
+            average_r=math.nan, average_s=-0.0, average_sum=math.inf,
+            quantum_r=0.0, quantum_s=0.0, quantum_sum=0.0,
+        )
+        # inf - inf in the deltas is part of the data here
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
+            assert cli._hv_demo_json(report) == expected
+        for text in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324",
+                     "2.2250738585072014e-308"):
+            assert f": {text}," in expected or f": {text}\n" in expected
+
+    def test_no_rows(self):
+        report = hidden_variables.additivity_violation_report(
+            PureState.from_label("z+"), SIGMA_X, SIGMA_Z, [])
+        expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
+        assert cli._hv_demo_json(report) == expected
+        assert '"pairs": []' in expected
 
 
 class TestDeterminism:

@@ -17,13 +17,17 @@ from dispersionless import hidden_variables
 
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
+    ExpectationFunctional,
     FunctionalViolation,
     PureState,
+    check_linearity,
     dispersion,
+    hermitian_basis,
     pure_state_expectation,
     reconstruct_density,
 )
 from dispersionless.hidden_variables import (
+    DELTA_TOL,
     UnsupportedDimensionError,
     additivity_violation_report,
     assign_value,
@@ -40,6 +44,7 @@ from dispersionless.operator_core import (
     apply_function,
     identity,
     random_hermitian,
+    random_hermitian_stack,
 )
 
 RNG = np.random.default_rng
@@ -63,6 +68,22 @@ OUTCOME_MAPS = {
 def random_qubit_state(rng):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return PureState.normalized(v)
+
+
+def reference_assignment(phi, lam, m):
+    """The model worked one matrix at a time: its Pauli coefficients, their
+    norm, the signed axis and the sign of lambda + (Bloch . axis) / 2."""
+    base = float(np.trace(m).real) / 2.0
+    v = np.array([m[0, 1].real + m[1, 0].real, m[1, 0].imag - m[0, 1].imag,
+                  m[0, 0].real - m[1, 1].real]) / 2.0
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return base
+    axis = v / norm
+    if axis[np.abs(axis) > DELTA_TOL][0] < 0.0:
+        norm, axis = -norm, -axis
+    projection = float(phi.bloch() @ axis)
+    return base + norm * (1.0 if lam + 0.5 * projection >= -DELTA_TOL else -1.0)
 
 
 class TestHiddenParameter:
@@ -318,19 +339,20 @@ class TestAdditivityReport:
         calls = []
         original = hidden_variables._axis_decomposition
 
-        def counting(op):
-            calls.append(op)
-            return original(op)
+        def counting(stack):
+            calls.append(len(stack))
+            return original(stack)
 
         monkeypatch.setattr(hidden_variables, "_axis_decomposition", counting)
         r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
         for size in (2, 11, 500):
             calls.clear()
             additivity_violation_report(Z_PLUS, r, s, lambda_grid(size))
-            assert len(calls) == 3
+            # r, s and r + s, decomposed together as one band
+            assert calls == [3]
         calls.clear()
         assign_value(Z_PLUS, 0.1, r)
-        assert len(calls) == 1
+        assert calls == [1]
 
     def test_json_schema(self):
         report = additivity_violation_report(
@@ -453,6 +475,40 @@ class TestSubensembleFunctional:
             with pytest.raises(FunctionalViolation) as exc:
                 reconstruct_density(f)
             assert isinstance(exc.value, AdditivityViolation)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_band_values_equal_one_matrix_formula(self, seed):
+        # equal bits, not a tolerance: the band formula is the per-matrix one
+        rng = RNG(1400 + seed)
+        phi = random_qubit_state(rng)
+        lam = float(rng.uniform(-0.5, 0.5))
+        f = subensemble_functional(phi, lam)
+        bands = [
+            np.array([op.matrix for op in hermitian_basis(2)]),
+            random_hermitian_stack(2, rng, 64) * 10.0 ** rng.uniform(-8, 8, size=(64, 1, 1)),
+            np.array([0.0 * SIGMA_X, 3.0 * identity(2), -SIGMA_Y, SIGMA_Y - SIGMA_Z,
+                      SIGMA_Z + 1e-12 * SIGMA_X, -SIGMA_Z + 1e-12 * SIGMA_X]),
+        ]
+        for band in bands:
+            expected = [reference_assignment(phi, lam, m) for m in band]
+            assert f.values(band).tolist() == expected
+            assert [f(m) for m in band] == expected
+            assert [assign_value(phi, lam, m) for m in band] == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reconstruction_equals_black_box(self, seed):
+        rng = RNG(1500 + seed)
+        phi = random_qubit_state(rng)
+        lam = float(rng.uniform(-0.5, 0.5))
+        f = subensemble_functional(phi, lam)
+        black_box = ExpectationFunctional(2, lambda r: assign_value(phi, lam, r))
+        outcomes = []
+        for g in (f, black_box):
+            with pytest.raises(AdditivityViolation) as exc:
+                reconstruct_density(g, probe_count=5, seed=seed)
+            outcomes.append((exc.value.probe.matrix.tobytes(), exc.value.lhs, exc.value.rhs))
+        assert outcomes[0] == outcomes[1]
+        assert check_linearity(f, 5, seed) == check_linearity(black_box, 5, seed)
 
     def test_value_assignment_is_callable(self):
         f = subensemble_functional(Z_PLUS, 0.25)

@@ -323,6 +323,14 @@ class TestCommutator:
         with pytest.raises(ValidationError):
             commutator_norm(HermitianOperator(SIGMA_X), HermitianOperator(identity(3)))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1.0, 1e6])
+    def test_verdict_ignores_scale(self, scale):
+        x, y, z = (HermitianOperator(scale * p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        assert not commutes(x, y)
+        assert not commutes(x, HermitianOperator(SIGMA_Y))
+        assert commutes(z, HermitianOperator(np.diag([3.0, 7.0])))
+        assert commutes(z, 0.0 * z)
+
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_hermitian_square_vanishes_iff_operator_does(self, dim):
         # for Hermitian C: |C^2| <= t forces |C| <= sqrt(dim * t)

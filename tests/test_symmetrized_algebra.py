@@ -328,3 +328,58 @@ class TestJointMeasurability:
             direct = frobenius(c @ c)
             assert verdict.commutator_square_norm > 0
             assert abs(verdict.commutator_square_norm - direct) <= 1e-9
+
+
+class TestScaleRelativeRules:
+    """Commutation and degeneracy are judged relative to the operators: R -> cR changes nothing."""
+
+    def test_tiny_non_commuting_pair_is_not_jointly_measurable(self):
+        verdict = joint_measurability_witness(
+            HermitianOperator(1e-5 * SIGMA_X), HermitianOperator(1e-5 * SIGMA_Y)
+        )
+        assert not verdict.jointly_measurable
+        assert verdict.generator is None
+
+    def test_tiny_eigenvalue_gap_is_resolved(self):
+        s = 1e-9 * SIGMA_Z
+        gen = common_generator(HermitianOperator(identity(2)), HermitianOperator(s))
+        assert sorted(gen.g_table.values()) == [-1e-9, 1e-9]
+        _, s2 = gen.reconstruct()
+        assert frobenius(s2.matrix - s) <= 1e-12 * frobenius(s)
+
+    def test_vanishing_block_stays_one_cluster(self):
+        # s vanishes on the degenerate eigenspace of r up to roundoff; that
+        # block is judged on the scale of s, not on its own ~1e-16 spread
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            q = random_unitary(3, rng)
+            r = HermitianOperator(q @ np.diag([1.0, 1.0, 2.0]) @ q.conj().T)
+            s = HermitianOperator(q @ np.diag([0.0, 0.0, 5.0]) @ q.conj().T)
+            gen = common_generator(r, s)
+            assert len(gen.g_table) == 2
+            r2, s2 = gen.reconstruct()
+            assert frobenius(r2.matrix - r.matrix) <= 1e-9
+            assert frobenius(s2.matrix - s.matrix) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        exponents=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    )
+    def test_verdicts_and_tables_are_scale_covariant(self, seed, dim, exponents):
+        rng = np.random.default_rng(seed)
+        c, c2 = (10.0 ** e for e in exponents)
+        r, s = commuting_pair_from_tables(dim, rng)
+        unit = common_generator(r, s)
+        scaled = joint_measurability_witness(c * r, c2 * s)
+        assert scaled.jointly_measurable
+        gen = scaled.generator
+        assert len(gen.f_table) == len(unit.f_table)
+        for table, unit_table, scale in ((gen.f_table, unit.f_table, c),
+                                         (gen.g_table, unit.g_table, c2)):
+            bound = 1e-9 * scale * max(map(abs, unit_table.values()))
+            for label, value in unit_table.items():
+                assert abs(table[label] - scale * value) <= bound
+        a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        assert not joint_measurability_witness(c * a, c2 * b).jointly_measurable
