@@ -242,21 +242,12 @@ def pretty(node) -> str:
     raise ExprEvalError(f"not an expression node: {node!r}")
 
 
-# evaluation values: a bare scalar, a scale on a dimension-agnostic
-# identity, or a concrete matrix
+# evaluation values: a concrete matrix is a bare ndarray; a _Scalar is a
+# bare scalar or, with identity set, a scale on a dimension-agnostic identity
 @dataclass(frozen=True)
 class _Scalar:
     value: float
-
-
-@dataclass(frozen=True)
-class _Ident:
-    scale: float
-
-
-@dataclass(frozen=True)
-class _Matrix:
-    matrix: np.ndarray
+    identity: bool = False
 
 
 def _load_matrix_file(path: str, pos) -> np.ndarray:
@@ -273,54 +264,38 @@ def _load_matrix_file(path: str, pos) -> np.ndarray:
         raise ExprEvalError(f"matrix file {path!r}: {exc}", *pos) from exc
 
 
+def _require_same_shape(left, right, pos):
+    if left.shape != right.shape:
+        raise ExprEvalError(f"dimension mismatch: {left.shape[0]} vs {right.shape[0]}", *pos)
+
+
 def _combine_add(op, left, right, pos):
     sign = 1.0 if op == "+" else -1.0
-    if isinstance(left, _Scalar) and isinstance(right, _Scalar):
-        return _Scalar(left.value + sign * right.value)
-    if isinstance(left, _Scalar) or isinstance(right, _Scalar):
+    bare = [isinstance(v, _Scalar) and not v.identity for v in (left, right)]
+    if bare[0] != bare[1]:
         raise ExprEvalError(
             "cannot add a bare scalar to an operator; scale the identity "
             "instead, e.g. '2*I + SX'", *pos,
         )
-    if isinstance(left, _Ident) and isinstance(right, _Ident):
-        return _Ident(left.scale + sign * right.scale)
-    if isinstance(left, _Ident):
-        dim = right.matrix.shape[0]
-        return _Matrix(left.scale * identity(dim) + sign * right.matrix)
-    if isinstance(right, _Ident):
-        dim = left.matrix.shape[0]
-        return _Matrix(left.matrix + sign * right.scale * identity(dim))
-    if left.matrix.shape != right.matrix.shape:
-        raise ExprEvalError(
-            f"dimension mismatch: {left.matrix.shape[0]} vs {right.matrix.shape[0]}",
-            *pos,
-        )
-    return _Matrix(left.matrix + sign * right.matrix)
+    if isinstance(left, _Scalar) and isinstance(right, _Scalar):
+        return _Scalar(left.value + sign * right.value, left.identity)
+    if isinstance(left, _Scalar):
+        return left.value * identity(right.shape[0]) + sign * right
+    if isinstance(right, _Scalar):
+        return left + sign * right.value * identity(left.shape[0])
+    _require_same_shape(left, right, pos)
+    return left + sign * right
 
 
 def _combine_mul(left, right, pos):
     if isinstance(left, _Scalar) and isinstance(right, _Scalar):
-        return _Scalar(left.value * right.value)
+        return _Scalar(left.value * right.value, left.identity or right.identity)
     if isinstance(left, _Scalar):
-        if isinstance(right, _Ident):
-            return _Ident(left.value * right.scale)
-        return _Matrix(left.value * right.matrix)
+        return left.value * right
     if isinstance(right, _Scalar):
-        if isinstance(left, _Ident):
-            return _Ident(left.scale * right.value)
-        return _Matrix(left.matrix * right.value)
-    if isinstance(left, _Ident) and isinstance(right, _Ident):
-        return _Ident(left.scale * right.scale)
-    if isinstance(left, _Ident):
-        return _Matrix(left.scale * right.matrix)
-    if isinstance(right, _Ident):
-        return _Matrix(left.matrix * right.scale)
-    if left.matrix.shape != right.matrix.shape:
-        raise ExprEvalError(
-            f"dimension mismatch: {left.matrix.shape[0]} vs {right.matrix.shape[0]}",
-            *pos,
-        )
-    return _Matrix(left.matrix @ right.matrix)
+        return left * right.value
+    _require_same_shape(left, right, pos)
+    return left @ right
 
 
 def _hermitian_or_error(matrix, what, pos):
@@ -331,36 +306,24 @@ def _hermitian_or_error(matrix, what, pos):
 
 
 def _apply_call(func, value, pos):
+    scalar = isinstance(value, _Scalar)
     if func == "sq":
-        if isinstance(value, _Scalar):
-            return _Scalar(value.value ** 2)
-        if isinstance(value, _Ident):
-            return _Ident(value.scale ** 2)
-        return _Matrix(value.matrix @ value.matrix)
+        return _Scalar(value.value ** 2, value.identity) if scalar else value @ value
     if func == "cube":
-        if isinstance(value, _Scalar):
-            return _Scalar(value.value ** 3)
-        if isinstance(value, _Ident):
-            return _Ident(value.scale ** 3)
-        m = value.matrix
-        return _Matrix(m @ m @ m)
+        return _Scalar(value.value ** 3, value.identity) if scalar else value @ value @ value
     if func == "abs":
-        if isinstance(value, _Scalar):
-            return _Scalar(abs(value.value))
-        if isinstance(value, _Ident):
-            return _Ident(abs(value.scale))
-        op = _hermitian_or_error(value.matrix, "abs", pos)
-        return _Matrix(apply_function(np.abs, op).matrix)
+        if scalar:
+            return _Scalar(abs(value.value), value.identity)
+        return apply_function(np.abs, _hermitian_or_error(value, "abs", pos)).matrix
     if func == "offspec":
         # indicator that is 0 on the argument's spectrum and 1 elsewhere;
         # applying it to the argument itself always yields zero
-        if isinstance(value, _Scalar):
+        if scalar and not value.identity:
             raise ExprEvalError("offspec needs an operator argument", *pos)
-        if isinstance(value, _Ident):
-            return _Ident(0.0)
-        op = _hermitian_or_error(value.matrix, "offspec", pos)
-        spec = eigendecompose(op)
-        return _Matrix(spec.apply(indicator_outside(spec.eigenvalues, FUNCALC_TOL)).matrix)
+        if scalar:
+            return _Scalar(0.0, identity=True)
+        spec = eigendecompose(_hermitian_or_error(value, "offspec", pos))
+        return spec.apply(indicator_outside(spec.eigenvalues, FUNCALC_TOL)).matrix
     raise ExprEvalError(f"unknown function {func!r}", *pos)
 
 
@@ -369,12 +332,12 @@ def _evaluate(node):
         return _Scalar(node.value)
     if isinstance(node, Const):
         if node.name == "I":
-            return _Ident(1.0)
+            return _Scalar(1.0, identity=True)
         if node.name in CONSTANTS:
-            return _Matrix(CONSTANTS[node.name])
+            return CONSTANTS[node.name]
         raise ExprEvalError(f"unknown identifier {node.name!r}", *node.pos)
     if isinstance(node, FileRef):
-        return _Matrix(_load_matrix_file(node.path, node.pos))
+        return _load_matrix_file(node.path, node.pos)
     if isinstance(node, Call):
         return _apply_call(node.func, _evaluate(node.arg), node.pos)
     if isinstance(node, BinOp):
@@ -394,14 +357,14 @@ def evaluate_matrix(node, default_dim: int = _DEFAULT_DIM) -> np.ndarray:
     an operator.
     """
     value = _evaluate(node)
-    if isinstance(value, _Scalar):
+    if not isinstance(value, _Scalar):
+        return value
+    if not value.identity:
         raise ExprEvalError(
             "expression evaluates to a bare scalar, not an operator; "
             "multiply by I to get an operator"
         )
-    if isinstance(value, _Ident):
-        return value.scale * identity(default_dim)
-    return value.matrix
+    return value.value * identity(default_dim)
 
 
 def evaluate_hermitian(node, default_dim: int = _DEFAULT_DIM) -> HermitianOperator:

@@ -187,6 +187,33 @@ class TestEvaluation:
         with pytest.raises(ExprEvalError, match="dimension mismatch"):
             evaluate_matrix(parse_expr(f"SX + @{path}"))
 
+    @pytest.mark.parametrize("text, expected", [
+        # expected is built from F, the 3x3 @file matrix, with the same
+        # float operations the evaluator performs
+        ("I + @F", lambda f: 1.0 * identity(3) + 1.0 * f),
+        ("@F + I", lambda f: f + 1.0 * identity(3)),
+        ("@F * I", lambda f: f * 1.0),
+        ("2*I*@F", lambda f: 2.0 * f),
+        ("(2*3)*I", lambda f: 6.0 * identity(2)),
+        ("sq(2*I) + SX", lambda f: 4.0 * identity(2) + SIGMA_X),
+        ("cube(I) - SX", lambda f: 1.0 * identity(2) - SIGMA_X),
+        ("abs(I - 4*I)", lambda f: 3.0 * identity(2)),
+        ("offspec(I) + SX", lambda f: 0.0 * identity(2) + SIGMA_X),
+        ("offspec(2)", "offspec needs an operator argument"),
+        ("2 + I", "cannot add a bare scalar"),
+        ("I + 2", "cannot add a bare scalar"),
+    ])
+    def test_value_kinds(self, tmp_path, text, expected):
+        f = random_hermitian(3, np.random.default_rng(21)).matrix
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(matrix_to_json(f)))
+        tree = parse_expr(text.replace("@F", f"@{path}"))
+        if isinstance(expected, str):
+            with pytest.raises(ExprEvalError, match=expected):
+                evaluate_matrix(tree)
+        else:
+            assert np.array_equal(evaluate_matrix(tree), expected(f))
+
     def test_non_hermitian_rejected_where_required(self):
         with pytest.raises(ExprEvalError, match="not Hermitian"):
             parse_hermitian("SX * SY")

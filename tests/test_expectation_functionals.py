@@ -371,6 +371,9 @@ class TestStackEvaluation:
     def test_a_functional_needs_a_formula(self):
         with pytest.raises(ValidationError, match="evaluate or evaluate_stack"):
             ExpectationFunctional(2)
+        with pytest.raises(ValidationError, match="not both"):
+            ExpectationFunctional(
+                2, lambda r: r.trace(), evaluate_stack=lambda stack: np.trace(stack, axis1=1, axis2=2).real)
 
     def test_values_validates_the_band(self):
         f = trace_functional(DensityMatrix.maximally_mixed(3))
@@ -399,6 +402,19 @@ class TestCheckLinearity:
         assert report.commuting_max_deviation <= 1e-10
         assert report.unrestricted_exceeds_tol
         assert not report.commuting_exceeds_tol
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_witness_pair_leads(self, seed):
+        # without the witness pair, 9 of these 20 one-trial runs fall short
+        report = check_linearity(max_eigenvalue_functional(2), trials=1, seed=seed)
+        assert report.unrestricted_max_deviation >= 2.0 - math.sqrt(2) - 1e-12
+
+    def test_nan_values_do_not_pass(self):
+        report = check_linearity(ExpectationFunctional(2, lambda r: math.nan), trials=5, seed=1)
+        assert math.isnan(report.unrestricted_max_deviation)
+        assert math.isnan(report.commuting_max_deviation)
+        assert report.unrestricted_exceeds_tol
+        assert report.commuting_exceeds_tol
 
     def test_normalized_trace_functional(self):
         f = ExpectationFunctional(2, lambda r: r.trace() / 2.0)
