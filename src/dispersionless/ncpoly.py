@@ -1,13 +1,16 @@
 """Free noncommutative polynomials over named symbols with exact rational coefficients.
 
-Words are tuples of symbol names; a polynomial is a finite word-to-Fraction
-map with no stored zeros, so equality is plain map comparison and every
+Words are tuples of symbol names.  A polynomial stores a word-to-integer
+numerator map with no stored zeros over one positive integer denominator,
+reduced by their greatest common divisor after every operation, so equal
+polynomials have equal storage, equality is plain comparison and every
 identity check is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Mapping
 
@@ -18,36 +21,52 @@ from .operator_core import ValidationError, as_hermitian
 Word = tuple[str, ...]
 
 
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise ValidationError(
-        f"coefficients must be exact rationals, got {type(value).__name__}"
-    )
+def _ratio(value) -> tuple[int, int]:
+    # numerator and positive denominator of an exact rational scalar; bool
+    # counts as numbers.Integral in Python but is refused as a coefficient
+    if isinstance(value, bool) or not isinstance(value, Rational):
+        raise ValidationError(
+            f"coefficients must be exact rationals, got {type(value).__name__}"
+        )
+    return int(value.numerator), int(value.denominator)
+
+
+def _reduced(nums: dict[Word, int], den: int) -> "NcPolynomial":
+    # the one constructor every operation ends in: drop zeros, divide out the
+    # common factor of the numerators and the denominator
+    nums = {word: n for word, n in nums.items() if n}
+    common = gcd(den, *nums.values())
+    if common > 1:
+        nums = {word: n // common for word, n in nums.items()}
+        den //= common
+    p = object.__new__(NcPolynomial)
+    p._nums = nums
+    p._den = den
+    return p
+
+
+def _canonical(item) -> tuple[int, Word]:
+    return len(item[0]), item[0]
 
 
 class NcPolynomial:
     """Element of the free algebra: sum of rational coefficients times words."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Word, object] | None = None):
-        clean: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                word = tuple(word)
-                coeff = _as_coeff(coeff)
-                if coeff:
-                    clean[word] = coeff
-        self._terms = clean
+        ratios = {tuple(word): _ratio(coeff) for word, coeff in (terms or {}).items()}
+        # each ratio is in lowest terms, so over their least common
+        # denominator the numerators share no factor with it
+        den = lcm(*(d for _, d in ratios.values()))
+        self._nums = {word: n * (den // d) for word, (n, d) in ratios.items() if n}
+        self._den = den
 
     @classmethod
     def symbol(cls, name: str) -> "NcPolynomial":
         if not name or not isinstance(name, str):
             raise ValidationError("symbol name must be a non-empty string")
-        return cls({(name,): Fraction(1)})
+        return cls({(name,): 1})
 
     @classmethod
     def constant(cls, value) -> "NcPolynomial":
@@ -59,32 +78,34 @@ class NcPolynomial:
 
     @property
     def terms(self) -> dict[Word, Fraction]:
-        return dict(self._terms)
+        return {word: Fraction(n, self._den) for word, n in self._nums.items()}
 
     def symbols(self) -> set[str]:
-        return {name for word in self._terms for name in word}
+        return {name for word in self._nums for name in word}
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __neg__(self):
-        return NcPolynomial({w: -c for w, c in self._terms.items()})
+        return _reduced({w: -n for w, n in self._nums.items()}, self._den)
 
     def __add__(self, other):
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            out[word] = out.get(word, Fraction(0)) + coeff
-        return NcPolynomial(out)
+        common = gcd(self._den, other._den)
+        lift, other_lift = other._den // common, self._den // common
+        out = {w: n * lift for w, n in self._nums.items()}
+        for word, n in other._nums.items():
+            out[word] = out.get(word, 0) + n * other_lift
+        return _reduced(out, self._den * lift)
 
     def __sub__(self, other):
         if not isinstance(other, NcPolynomial):
@@ -93,26 +114,28 @@ class NcPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, NcPolynomial):
-            out: dict[Word, Fraction] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
+            out: dict[Word, int] = {}
+            for w1, n1 in self._nums.items():
+                for w2, n2 in other._nums.items():
                     word = w1 + w2
-                    out[word] = out.get(word, Fraction(0)) + c1 * c2
-            return NcPolynomial(out)
-        coeff = _as_coeff(other)
-        return NcPolynomial({w: c * coeff for w, c in self._terms.items()})
+                    out[word] = out.get(word, 0) + n1 * n2
+            return _reduced(out, self._den * other._den)
+        num, den = _ratio(other)
+        return _reduced({w: n * num for w, n in self._nums.items()}, self._den * den)
 
     # reached only with a scalar on the left, and scalars commute with words
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        coeff = _as_coeff(other)
-        if coeff == 0:
+        num, den = _ratio(other)
+        if num == 0:
             raise ZeroDivisionError("division of NcPolynomial by zero")
-        return NcPolynomial({w: c / coeff for w, c in self._terms.items()})
+        if num < 0:
+            num, den = -num, -den
+        return _reduced({w: n * den for w, n in self._nums.items()}, self._den * num)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValidationError("exponent must be a non-negative integer")
         out = NcPolynomial.constant(1)
         for _ in range(exponent):
@@ -121,13 +144,18 @@ class NcPolynomial:
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical order: by word length, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(word, Fraction(n, self._den))
+                for word, n in sorted(self._nums.items(), key=_canonical)]
 
     def __str__(self):
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
-        for word, coeff in self.sorted_terms():
+        for word, n in sorted(self._nums.items(), key=_canonical):
+            # the reduced coefficient, printed as str(Fraction) prints it
+            common = gcd(n, self._den)
+            den = self._den // common
+            coeff = f"{n // common}/{den}" if den != 1 else f"{n // common}"
             name = "".join(word) if word else "1"
             parts.append(f"{coeff}*{name}")
         return " + ".join(parts)
@@ -139,10 +167,11 @@ class NcPolynomial:
 def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     """Substitute matrices for symbols and evaluate.
 
-    Words become matrix products, the empty word the identity; rational
-    coefficients convert exactly to double precision at the end.  Every
-    symbol of p must be bound and all bound operators must share one
-    dimension.
+    Words become left-to-right matrix products, the empty word the
+    identity; each word prefix is multiplied out once and shared by the
+    words that extend it.  Rational coefficients convert exactly to double
+    precision at the end.  Every symbol of p must be bound and all bound
+    operators must share one dimension.
     """
     mats: dict[str, np.ndarray] = {}
     dim = None
@@ -161,10 +190,15 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     if dim is None:
         # constant polynomial with no bindings has no intrinsic dimension
         raise ValidationError("at least one binding is required")
+    products: dict[Word, np.ndarray] = {(): np.eye(dim, dtype=np.complex128)}
+    products.update(((name,), m) for name, m in mats.items())
+
+    def product(word: Word) -> np.ndarray:
+        if word not in products:
+            products[word] = product(word[:-1]) @ mats[word[-1]]
+        return products[word]
+
     total = np.zeros((dim, dim), dtype=np.complex128)
     for word, coeff in p.sorted_terms():
-        acc = np.eye(dim, dtype=np.complex128)
-        for name in word:
-            acc = acc @ mats[name]
-        total += float(coeff) * acc
+        total += float(coeff) * product(word)
     return total

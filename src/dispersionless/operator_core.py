@@ -276,13 +276,23 @@ def commutator_norm(a, b) -> float:
 
 
 def commutes(a, b, tol: float = COMM_TOL) -> bool:
-    """Whether ||AB - BA|| <= tol * ||A||·||B||; every commutation verdict uses it.
-
-    The rule is relative, so the verdict does not change under A -> cA.
-    """
+    """Whether ||AB - BA|| <= tol * ||A||·||B||, by commutator_within_tol."""
     a = as_hermitian(a)
     b = as_hermitian(b)
-    return commutator_norm(a, b) <= tol * a.norm() * b.norm()
+    return commutator_within_tol(commutator_norm(a, b), a, b, tol)
+
+
+def commutator_within_tol(norm: float, a: HermitianOperator, b: HermitianOperator,
+                          tol: float) -> bool:
+    """Whether the commutator norm of a and b meets ||AB - BA|| <= tol * ||A||·||B||.
+
+    Every commutation verdict uses this rule.  It is relative, so the
+    verdict does not change under A -> cA.  Raises ValidationError unless
+    tol is finite and positive.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"commutation tolerance must be finite and positive, got {tol!r}")
+    return norm <= tol * a.norm() * b.norm()
 
 
 def random_hermitian_stack(

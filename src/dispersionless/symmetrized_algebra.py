@@ -28,7 +28,7 @@ from .operator_core import (
     ValidationError,
     as_hermitian,
     commutator_norm,
-    commutes,
+    commutator_within_tol,
     eigendecompose,
     frobenius,
 )
@@ -236,10 +236,14 @@ def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    if not commutes(r, s, tol):
-        raise ValidationError(
-            f"operators do not commute: commutator norm {commutator_norm(r, s):.6e}"
-        )
+    norm = commutator_norm(r, s)
+    if not commutator_within_tol(norm, r, s, tol):
+        raise ValidationError(f"operators do not commute: commutator norm {norm:.6e}")
+    return _common_generator(r, s)
+
+
+def _common_generator(r: HermitianOperator, s: HermitianOperator) -> CommonGenerator:
+    # common_generator for a pair already found to commute
     spec_r = eigendecompose(r)
     spec_s = eigendecompose(s)
     t = np.zeros((r.dim, r.dim), dtype=np.complex128)
@@ -253,14 +257,15 @@ def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
         basis = spec_r.eigenvectors[:, i0:i1]
         r_val = _nearest(spec_r.eigenvalues, np.mean(spec_r.eigenvalues[i0:i1]))
         block = basis.conj().T @ s.matrix @ basis
-        sub = eigendecompose(HermitianOperator((block + block.conj().T) / 2))
+        # (B + B*)/2 is Hermitian by construction, entry for entry
+        sub_values, sub_vectors = np.linalg.eigh((block + block.conj().T) / 2)
         # the restriction of s is clustered on the scale of s itself, so a
         # block that vanishes up to roundoff stays one cluster
-        for j0, j1 in _clusters(sub.eigenvalues, radius_s):
-            joint = basis @ sub.eigenvectors[:, j0:j1]
+        for j0, j1 in _clusters(sub_values, radius_s):
+            joint = basis @ sub_vectors[:, j0:j1]
             t += label * (joint @ joint.conj().T)
             f_table[label] = r_val
-            g_table[label] = _nearest(spec_s.eigenvalues, np.mean(sub.eigenvalues[j0:j1]))
+            g_table[label] = _nearest(spec_s.eigenvalues, np.mean(sub_values[j0:j1]))
             label += 1
     return CommonGenerator(HermitianOperator(t), f_table, g_table)
 
@@ -288,7 +293,9 @@ def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabili
     the cross-square deficit (RS)^2 + (SR)^2 - (RS)(SR) - (SR)(RS), which
     equals ||(RS - SR)^2|| identically and is strictly positive exactly
     when the pair fails to commute.  The square-product deficit
-    R^2S^2 + S^2R^2 - (RS)(SR) - (SR)(RS) is reported alongside.
+    R^2S^2 + S^2R^2 - (RS)(SR) - (SR)(RS) is reported alongside.  The
+    commutator norm is computed once and decides the verdict; tol must be
+    finite and positive, or ValidationError is raised.
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
@@ -296,11 +303,11 @@ def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabili
     cnorm = commutator_norm(r, s)
     cross = frobenius(evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
     square = frobenius(evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
-    jointly = commutes(r, s, tol)
+    jointly = commutator_within_tol(cnorm, r, s, tol)
     return JointMeasurabilityVerdict(
         jointly_measurable=jointly,
         commutator_norm=cnorm,
         commutator_square_norm=cross,
         square_product_deficit_norm=square,
-        generator=common_generator(r, s, tol=tol) if jointly else None,
+        generator=_common_generator(r, s) if jointly else None,
     )

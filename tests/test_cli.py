@@ -291,7 +291,67 @@ def write_density(tmp_path, matrix, name="u.json"):
     return str(path)
 
 
+# (name, description, polynomial) of each verify-appendix1 step; the chain
+# is exact rational arithmetic, so every byte of its report is fixed
+APPENDIX1_STEPS = [
+    ("RS", "image of the product of R and S", "1/2*RS + 1/2*SR"),
+    ("R(RS)", "image of the nested product R(RS)", "1/4*RRS + 1/2*RSR + 1/4*SRR"),
+    ("S(R(RS))", "image of the nested product S(R(RS))",
+     "1/8*RRSS + 1/4*RSRS + 1/4*SRRS + 1/4*SRSR + 1/8*SSRR"),
+    ("R(S(SR))", "image of the nested product R(S(SR))",
+     "1/8*RRSS + 1/4*RSRS + 1/4*RSSR + 1/4*SRSR + 1/8*SSRR"),
+    ("(RS)(RS)", "image of the squared product (RS)^2",
+     "1/4*RSRS + 1/4*RSSR + 1/4*SRRS + 1/4*SRSR"),
+    ("square-product identity",
+     "S(R(RS)) + R(S(SR)) - 2(RS)^2 reduces to the square-product deficit / 4",
+     "1/4*RRSS + -1/4*RSSR + -1/4*SRRS + 1/4*SSRR"),
+    ("R^2S^2", "image of the product of R^2 and S^2", "1/2*RRSS + 1/2*SSRR"),
+    ("R^2S^2 reduced",
+     "R^2S^2 image minus the imposed deficit / 2 equals [(RS)(SR)+(SR)(RS)]/2",
+     "1/2*RSSR + 1/2*SRRS"),
+    ("cross-square identity",
+     "reduced R^2S^2 minus the (RS)^2 image is -(cross-square deficit)/4",
+     "-1/4*RSRS + 1/4*RSSR + 1/4*SRRS + -1/4*SRSR"),
+    ("commutator square vanishes",
+     "(RS - SR)^2 expands to the cross-square deficit, which the chain forces to 0",
+     "1*RSRS + -1*RSSR + -1*SRRS + 1*SRSR"),
+]
+
+
 class TestCliCommands:
+    def test_verify_appendix1_text_pinned(self, capsys):
+        code, out, err = run(capsys, "verify-appendix1")
+        assert (code, err) == (0, "")
+        assert out == """\
+symmetrized-product identity chain (exact rational arithmetic):
+  PASS  RS: image of the product of R and S
+  PASS  R(RS): image of the nested product R(RS)
+  PASS  S(R(RS)): image of the nested product S(R(RS))
+  PASS  R(S(SR)): image of the nested product R(S(SR))
+  PASS  (RS)(RS): image of the squared product (RS)^2
+  PASS  square-product identity: S(R(RS)) + R(S(SR)) - 2(RS)^2 reduces to the square-product deficit / 4
+  PASS  R^2S^2: image of the product of R^2 and S^2
+  PASS  R^2S^2 reduced: R^2S^2 image minus the imposed deficit / 2 equals [(RS)(SR)+(SR)(RS)]/2
+  PASS  cross-square identity: reduced R^2S^2 minus the (RS)^2 image is -(cross-square deficit)/4
+  PASS  commutator square vanishes: (RS - SR)^2 expands to the cross-square deficit, which the chain forces to 0
+all steps hold: jointly measurable quantities must commute
+"""
+
+    def test_verify_appendix1_json_pinned(self, capsys):
+        code, out, err = run(capsys, "verify-appendix1", "--format", "json")
+        assert (code, err) == (0, "")
+        expected = {
+            "schema": 1,
+            "command": "verify-appendix1",
+            "passed": True,
+            "steps": [
+                {"name": name, "description": description, "computed": text,
+                 "expected": text, "passed": True}
+                for name, description, text in APPENDIX1_STEPS
+            ],
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_verify_appendix1_passes(self, capsys):
         code, out, _ = run(capsys, "verify-appendix1")
         assert code == 0

@@ -331,6 +331,14 @@ class TestCommutator:
         assert commutes(z, HermitianOperator(np.diag([3.0, 7.0])))
         assert commutes(z, 0.0 * z)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        z = HermitianOperator(SIGMA_Z)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            commutes(z, z, tol)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            commutes(z, HermitianOperator(SIGMA_X), tol)
+
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_hermitian_square_vanishes_iff_operator_does(self, dim):
         # for Hermitian C: |C^2| <= t forces |C| <= sqrt(dim * t)

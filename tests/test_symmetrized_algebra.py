@@ -4,6 +4,7 @@ Numeric oracles: Pauli products computed by hand (sx sy = i sz and kin),
 and explicit matrix arithmetic for every certificate the witness reports.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from dispersionless.operator_core import (
     SIGMA_Z,
     ValidationError,
     apply_function,
+    commutator_norm,
     eigendecompose,
     frobenius,
     identity,
@@ -29,6 +31,7 @@ from dispersionless.operator_core import (
 )
 from dispersionless.symmetrized_algebra import (
     CROSS_SQUARE_DEFICIT,
+    SQUARE_PRODUCT_DEFICIT,
     CommonGenerator,
     common_generator,
     joint_measurability_witness,
@@ -62,6 +65,58 @@ def commuting_pair_from_tables(dim, rng):
     )
 
 
+# A plain word-to-Fraction map is the reference the integer-numerator
+# storage of NcPolynomial is checked against.
+
+def ref_clean(terms):
+    return {tuple(w): Fraction(c) for w, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for word, coeff in b.items():
+        out[word] = out.get(word, Fraction(0)) + sign * coeff
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[w1 + w2] = out.get(w1 + w2, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_scale(a, k):
+    return ref_clean({w: c * k for w, c in a.items()})
+
+
+def ref_order(terms):
+    return sorted(terms, key=lambda w: (len(w), w))
+
+
+def ref_str(terms):
+    if not terms:
+        return "0"
+    return " + ".join(f"{terms[w]}*{''.join(w) if w else '1'}" for w in ref_order(terms))
+
+
+def left_to_right(p, mats, dim):
+    """evaluate_nc's reference: each word multiplied out from the identity, left to right."""
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for word, coeff in p.sorted_terms():
+        acc = np.eye(dim, dtype=np.complex128)
+        for name in word:
+            acc = acc @ mats[name]
+        total += float(coeff) * acc
+    return total
+
+
+WORDS = st.lists(st.sampled_from("RST"), max_size=3).map(tuple)
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+TERMS = st.dictionaries(WORDS, COEFFS, max_size=5)
+
+
 class TestNcPolynomial:
     def test_zero_coefficients_dropped(self):
         p = NcPolynomial({("R",): Fraction(0), ("S",): Fraction(2)})
@@ -91,6 +146,53 @@ class TestNcPolynomial:
 
     def test_zero_prints_as_zero(self):
         assert str(NcPolynomial.zero()) == "0"
+
+    @pytest.mark.parametrize("make", [
+        lambda: NcPolynomial({("R",): True}),
+        lambda: NcPolynomial.constant(False),
+        lambda: R * True,
+        lambda: True * R,
+        lambda: R / True,
+        lambda: R ** True,
+    ], ids=["terms", "constant", "mul", "rmul", "div", "pow"])
+    def test_bool_scalars_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_equal_polynomials_hash_equal(self):
+        assert (R * 3) / 3 == R
+        assert hash((R * 3) / 3) == hash(R)
+        p = (R * S + S * R) / 6 + (R * S) / 3
+        q = poly({"RS": (1, 2), "SR": (1, 6)})
+        assert p == q and hash(p) == hash(q)
+        assert len({R, (R * 3) / 3, R + S - S, R * Fraction(2, 4) * 2}) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS, TERMS, COEFFS.filter(bool), st.integers(-5, 5).filter(bool))
+    def test_matches_fraction_dict_reference(self, a, b, k, n):
+        pa, pb = NcPolynomial(a), NcPolynomial(b)
+        a, b = ref_clean(a), ref_clean(b)
+        cases = [
+            (pa, a),
+            (-pa, ref_scale(a, -1)),
+            (pa + pb, ref_add(a, b)),
+            (pa - pb, ref_add(a, b, -1)),
+            (pa * pb, ref_mul(a, b)),
+            (pa * k, ref_scale(a, k)),
+            (k * pa, ref_scale(a, k)),
+            (pa * n, ref_scale(a, n)),
+            (pa / k, ref_scale(a, 1 / k)),
+            (pa / n, ref_scale(a, Fraction(1, n))),
+        ]
+        for got, want in cases:
+            assert got.terms == want
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert got.sorted_terms() == [(w, want[w]) for w in ref_order(want)]
+            assert str(got) == ref_str(want)
+            assert got == NcPolynomial(want)
+            assert hash(got) == hash(NcPolynomial(want))
+            assert bool(got) == bool(want)
+        assert (pa == pb) == (a == b)
 
 
 class TestSymmetrizedProduct:
@@ -158,7 +260,10 @@ class TestChain:
 
         monkeypatch.setattr(NcPolynomial, "__mul__", counted)
         assert verify_appendix1_chain().passed
-        assert len(calls) <= 23
+        assert len(calls) == 23
+        # nothing is cached: a second replay makes every product again
+        assert verify_appendix1_chain().passed
+        assert len(calls) == 46
 
     def test_commutator_square_is_cross_square_deficit(self):
         comm = R * S - S * R
@@ -190,6 +295,18 @@ class TestEvaluateNc:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             evaluate_nc(R * S, {"R": SIGMA_X, "S": identity(3)})
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32])
+    def test_equals_left_to_right_products(self, dim):
+        # shared prefixes change which products are formed, not their bits
+        rng = np.random.default_rng(900 + dim)
+        mats = {"R": random_hermitian(dim, rng).matrix, "S": random_hermitian(dim, rng).matrix}
+        words = [w for n in range(5) for w in itertools.product("RS", repeat=n)]
+        dense = NcPolynomial({w: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                              for w in words})
+        sparse = NcPolynomial({tuple("RSSRS"): 3, tuple("SSRRS"): Fraction(-1, 3), ("S",): 2})
+        for p in (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, dense, sparse):
+            assert np.array_equal(evaluate_nc(p, mats), left_to_right(p, mats, dim))
 
     def test_constant_term_scales_identity(self):
         got = evaluate_nc(NcPolynomial.constant(3) + R, {"R": SIGMA_Z})
@@ -328,6 +445,32 @@ class TestJointMeasurability:
             direct = frobenius(c @ c)
             assert verdict.commutator_square_norm > 0
             assert abs(verdict.commutator_square_norm - direct) <= 1e-9
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("b, jointly", [(np.diag([3.0, 7.0]), True), (SIGMA_X, False)],
+                             ids=["commuting", "non-commuting"])
+    def test_one_commutator_per_witness(self, monkeypatch, b, jointly):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return commutator_norm(x, y)
+
+        for module in (operator_core, symmetrized_algebra):
+            monkeypatch.setattr(module, "commutator_norm", counting)
+        verdict = joint_measurability_witness(HermitianOperator(SIGMA_Z), HermitianOperator(b))
+        assert verdict.jointly_measurable is jointly
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        z, x = HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)
+        for r, s in ((z, x), (z, z)):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                joint_measurability_witness(r, s, tol=tol)
+            with pytest.raises(ValidationError, match="finite and positive"):
+                common_generator(r, s, tol=tol)
 
 
 class TestScaleRelativeRules:
