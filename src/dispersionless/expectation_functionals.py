@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,8 +278,7 @@ class ExpectationFunctional:
         self.label = label
         if evaluate is not None:
             def evaluate_stack(stack):
-                # every band that gets here was validated or built Hermitian
-                return [float(evaluate(HermitianOperator._unchecked(m))) for m in stack]
+                return [float(evaluate(HermitianOperator(m))) for m in stack]
         self._evaluate_stack = evaluate_stack
 
     def _require_dim(self, dim: int):
@@ -369,28 +367,30 @@ def _band_length(dim: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _basis_plan(dim: int):
+def _basis_scatter(dim: int):
     # the d^2 basis elements in hermitian_basis order as scatter targets:
     # element e sets flat cell above[e] of its own d x d slot of a band to
-    # upper[e] and cell below[e] to lower[e] (the same cell on the diagonal);
-    # rows and cols are triu_indices(dim, 1), the order of the cross terms
+    # upper[e] and cell below[e] to lower[e] (the same cell on the
+    # diagonal).  Building them takes 50-70 us on a 2-vCPU x86_64 VM, 14-22 %
+    # of a d <= 8 reconstruction, so the last 8 dimensions keep theirs:
+    # 48 d^2 bytes each, 49 KB at d = 32.
     rows, cols = np.triu_indices(dim, 1)
     m = np.concatenate([np.arange(dim), np.repeat(rows, 2)])
     n = np.concatenate([np.arange(dim), np.repeat(cols, 2)])
     slot = np.arange(dim * dim) * (dim * dim)
     upper = np.concatenate([np.ones(dim), np.tile([1.0, 1.0j], len(rows))])
     lower = np.concatenate([np.ones(dim), np.tile([1.0, -1.0j], len(rows))])
-    plan = slot + m * dim + n, upper, slot + n * dim + m, lower, rows, cols
-    for part in plan:
+    scatter = slot + m * dim + n, upper, slot + n * dim + m, lower
+    for part in scatter:
         part.flags.writeable = False
-    return plan
+    return scatter
 
 
 def _basis_bands(dim: int):
     # hermitian_basis order, one (k, dim, dim) band at a time
     if dim < 1:
         raise ValidationError("dimension must be at least 1")
-    above, upper, below, lower, _, _ = _basis_plan(dim)
+    above, upper, below, lower = _basis_scatter(dim)
     cells = dim * dim
     step = _band_length(dim)
     for start in range(0, cells, step):
@@ -430,40 +430,6 @@ def canonical_noncommuting_probes(dim: int) -> list[HermitianOperator]:
     return [HermitianOperator(m) for m in _canonical_band(dim)]
 
 
-@functools.lru_cache(maxsize=8)
-def _probe_prefix(dim: int, seed: int):
-    """The first DEFAULT_PROBE_COUNT probes of the seeded stream, and the state after them.
-
-    The probes are one read-only (DEFAULT_PROBE_COUNT, dim, dim) array,
-    drawn one probe at a time so that building it holds the array and one
-    probe; a longer run continues the stream from the returned
-    ``bit_generator.state``.  Eight (dim, seed) keys are kept, so the cache
-    retains at most 8 * 32 * dim^2 * 16 bytes: 4 MB while every dim is at
-    most 32.
-    """
-    rng = np.random.default_rng(seed)
-    prefix = np.empty((DEFAULT_PROBE_COUNT, dim, dim), dtype=np.complex128)
-    for k in range(DEFAULT_PROBE_COUNT):
-        prefix[k] = random_hermitian_stack(dim, rng, 1)[0]
-    prefix.flags.writeable = False
-    return prefix, rng.bit_generator.state
-
-
-def _seeded_probes(dim: int, seed: int, count: int):
-    # the first count matrices of random_hermitian_stack(dim,
-    # default_rng(seed), count), one band at a time: the cached prefix, then
-    # fresh draws from where it ends
-    prefix, state = _probe_prefix(dim, seed)
-    step = _band_length(dim)
-    for start in range(0, min(count, len(prefix)), step):
-        yield prefix[start:min(start + step, count)]
-    if count > len(prefix):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
-        for start in range(len(prefix), count, step):
-            yield random_hermitian_stack(dim, rng, min(step, count - start))
-
-
 def reconstruct_density(
     f: ExpectationFunctional,
     probe_count: int = DEFAULT_PROBE_COUNT,
@@ -485,15 +451,11 @@ def reconstruct_density(
        enforced; a failure here means a genuinely linear functional that
        is negative somewhere (A' fails).
 
-    ``seed`` must be a non-negative integer.  The basis and the probes are
-    Hermitian by construction and go to the functional's band formula
-    unchecked, in bands of at most ``_BAND_CELLS`` cells.  The first
-    ``DEFAULT_PROBE_COUNT`` random probes of each (dim, seed) are drawn
-    once per process and kept (see ``_probe_prefix``); a first call still
-    draws them, all of them even when ``probe_count`` is smaller.
+    The basis and the probes are Hermitian by construction and go to the
+    functional's band formula unchecked, in bands of at most
+    ``_BAND_CELLS`` cells; a probe band is drawn only when every earlier
+    probe passed.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"probe seed must be a non-negative integer, got {seed!r}")
     dim = f.dim
     norm_value = f(HermitianOperator(identity(dim)))
     if abs(norm_value - 1.0) > lin_tol:
@@ -505,7 +467,7 @@ def reconstruct_density(
 
     values = np.concatenate([evaluate(band) for band in _basis_bands(dim)])
     u = np.diag(values[:dim].astype(np.complex128))
-    *_, rows, cols = _basis_plan(dim)
+    rows, cols = np.triu_indices(dim, 1)
     upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
     u[rows, cols] = upper
     u[cols, rows] = upper.conj()
@@ -514,11 +476,14 @@ def reconstruct_density(
 
     def probes():
         # lazily, band by band: a failing band stops the rest, and a failing
-        # fixed band does not even look up the seeded probes
+        # fixed band does not even seed the generator
         yield identity(dim)[None]
         if dim >= 2:
             yield _canonical_band(dim)
-        yield from _seeded_probes(dim, int(seed), probe_count)
+        rng = np.random.default_rng(seed)
+        step = _band_length(dim)
+        for start in range(0, probe_count, step):
+            yield random_hermitian_stack(dim, rng, min(step, probe_count - start))
 
     for band in probes():
         lhs, rhs = evaluate(band), form._evaluate_stack(band)

@@ -124,15 +124,6 @@ class HermitianOperator:
         m.flags.writeable = False
         self._matrix = m
 
-    @classmethod
-    def _unchecked(cls, matrix: np.ndarray) -> "HermitianOperator":
-        # a read-only copy of a complex128 matrix the caller has already
-        # validated as Hermitian, or built Hermitian itself
-        op = cls.__new__(cls)
-        op._matrix = matrix.copy()
-        op._matrix.flags.writeable = False
-        return op
-
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix

@@ -162,6 +162,20 @@ class TestReconstruction:
         assert frobenius(out.matrix - u0.matrix) <= 1e-10
         assert frobenius(out.spectrum.reconstruct() - out.matrix) <= 1e-12
 
+    def test_checks_only_the_identity_and_the_assembled_matrix(self, monkeypatch):
+        # the basis and the probes are built Hermitian and go to the band
+        # formula unchecked
+        import dispersionless.operator_core as core
+
+        u0 = DensityMatrix.random(3, RNG(24))
+        checks = []
+        original = core._require_hermitian
+        monkeypatch.setattr(core, "_require_hermitian", lambda m: checks.append(m) or original(m))
+        out = reconstruct_density(trace_functional(u0), probe_count=40)
+        assert len(checks) == 2
+        assert np.array_equal(checks[0], identity(3))
+        assert np.array_equal(checks[1], out.matrix)
+
     def test_holds_one_basis_element_at_a_time(self):
         # all d^2 basis matrices of d = 32 together take 16 MB
         u0 = DensityMatrix.random(32, RNG(6))
@@ -195,8 +209,6 @@ class TestReconstruction:
             assert np.array_equal(got, want)
 
     def test_violation_on_identity_draws_no_random_probe(self, monkeypatch):
-        # a cold probe cache, whatever ran before
-        ef._probe_prefix.cache_clear()
         draws = []
         original = ef.random_hermitian_stack
 
@@ -288,85 +300,6 @@ class TestReconstruction:
         assert obj["kind"] == "b-prime-violation"
         assert obj["probe"]["dim"] == 2
         assert abs(obj["delta"] - (obj["lhs"] - obj["rhs"])) == 0.0
-
-
-class TestProbePrefix:
-    """The cached seeded probes against a fresh draw of the same stream."""
-
-    @pytest.mark.parametrize("count", [1, 5, 32, 33, 100])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
-    def test_prefix_and_continuation_equal_one_draw(self, dim, count):
-        for seed in (0, 0x5EED):
-            bands = list(ef._seeded_probes(dim, seed, count))
-            assert all(len(band) <= ef._band_length(dim) for band in bands)
-            fresh = random_hermitian_stack(dim, RNG(seed), count)
-            assert np.concatenate(bands).tobytes() == fresh.tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
-    def test_prefix_is_read_only_and_exactly_hermitian(self, dim):
-        prefix, _ = ef._probe_prefix(dim, 5)
-        assert prefix.shape == (DEFAULT_PROBE_COUNT, dim, dim)
-        assert not prefix.flags.writeable
-        assert np.array_equal(prefix, prefix.conj().swapaxes(-1, -2))
-        with pytest.raises(ValueError):
-            prefix[0, 0, 0] = 0.0
-
-    def test_second_call_draws_nothing(self, monkeypatch):
-        ef._probe_prefix.cache_clear()
-        draws = []
-        original = ef.random_hermitian_stack
-
-        def counting(dim, rng, count, *args):
-            draws.extend([dim] * count)
-            return original(dim, rng, count, *args)
-
-        monkeypatch.setattr(ef, "random_hermitian_stack", counting)
-        f = trace_functional(DensityMatrix.random(3, RNG(21)))
-        first = reconstruct_density(f)
-        assert draws == [3] * DEFAULT_PROBE_COUNT
-        second = reconstruct_density(f)
-        assert draws == [3] * DEFAULT_PROBE_COUNT
-        assert first.matrix.tobytes() == second.matrix.tobytes()
-        # past the prefix, only the continuation is drawn
-        reconstruct_density(f, probe_count=40)
-        assert draws == [3] * (DEFAULT_PROBE_COUNT + 8)
-
-    def test_failure_past_the_prefix_reports_the_fresh_probe(self):
-        # a kink that stays under tol on every probe of the prefix and breaks
-        # it first at a later probe of the continuation
-        dim, seed, count = 8, 2, 100
-        u0 = DensityMatrix.random(dim, RNG(22))
-        probes = random_hermitian_stack(dim, RNG(seed), count)
-
-        def kink(m):
-            return 1e-8 * np.abs(m[..., 0, 0] * m[..., 1, 1] * m[..., 2, 3])
-
-        kinks = kink(probes)
-        top = kinks[:DEFAULT_PROBE_COUNT].max()
-        tol = float(top + kinks[kinks > top].min()) / 2
-        first = int(np.flatnonzero(kinks > tol)[0])
-        assert first >= DEFAULT_PROBE_COUNT
-        f = ExpectationFunctional(
-            dim, evaluate_stack=lambda stack: np.vecdot(
-                stack.reshape(len(stack), -1), u0.matrix.ravel()).real + kink(stack))
-        ef._probe_prefix.cache_clear()
-        for _ in ("cold", "warm"):
-            with pytest.raises(AdditivityViolation) as exc:
-                reconstruct_density(f, probe_count=count, seed=seed, lin_tol=tol)
-            assert np.array_equal(exc.value.probe.matrix, probes[first])
-            assert abs(exc.value.delta - kinks[first]) <= 1e-15
-
-    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, 2.0, "3", None, [1, 2]],
-                             ids=repr)
-    def test_seed_must_be_a_non_negative_integer(self, seed):
-        f = trace_functional(DensityMatrix.maximally_mixed(2))
-        with pytest.raises(ValidationError, match="non-negative integer"):
-            reconstruct_density(f, seed=seed)
-
-    def test_numpy_integer_seed_is_the_int_seed(self):
-        f = trace_functional(DensityMatrix.random(3, RNG(23)))
-        assert (reconstruct_density(f, probe_count=40, seed=np.int64(9)).matrix.tobytes()
-                == reconstruct_density(f, probe_count=40, seed=9).matrix.tobytes())
 
 
 def _random_unitary(dim, rng):
@@ -463,31 +396,6 @@ class TestStackEvaluation:
         rng = RNG(110 + dim)
         for f, _ in _stack_functionals(dim, rng):
             assert check_linearity(f, 5, 7) == check_linearity(_black_box(f), 5, 7), f.label
-
-    def test_black_box_formula_checks_no_band_again(self, monkeypatch):
-        # the one-operator wrapper hands evaluate read-only copies of bands
-        # already validated or built Hermitian, and checks none of them again
-        import dispersionless.operator_core as core
-
-        rho = DensityMatrix.random(2, RNG(24))
-        seen = []
-
-        def evaluate(r):
-            seen.append(r.matrix)
-            return np.vdot(r.matrix, rho.matrix).real
-
-        checks = []
-        original = core._require_hermitian
-        monkeypatch.setattr(core, "_require_hermitian", lambda m: checks.append(m) or original(m))
-        stack_out = reconstruct_density(trace_functional(rho))
-        stack_checks = len(checks)
-        checks.clear()
-        black_box_out = reconstruct_density(ExpectationFunctional(2, evaluate))
-        assert len(checks) == stack_checks
-        assert black_box_out.matrix.tobytes() == stack_out.matrix.tobytes()
-        assert len(seen) == 4 + 1 + 1 + 3 + DEFAULT_PROBE_COUNT
-        assert not any(m.flags.writeable for m in seen)
-        assert len({id(m) for m in seen}) == len(seen)
 
     def test_a_functional_needs_a_formula(self):
         with pytest.raises(ValidationError, match="evaluate or evaluate_stack"):
