@@ -20,14 +20,12 @@ from .operator_core import (
     SIGMA_Z,
     apply_function,
     commutator_norm,
-    commutes,
     eigendecompose,
     identity,
     indicator_outside,
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
-    spectrum_contains,
 )
 from .expectation_functionals import (
     DM_GAP,
@@ -41,7 +39,6 @@ from .expectation_functionals import (
     NormalizationViolation,
     PositivityViolation,
     PureState,
-    canonical_noncommuting_probes,
     check_linearity,
     dispersion,
     dispersion_witness,

@@ -109,10 +109,6 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=JSON_INDENT, sort_keys=True)
 
 
-def _print_json(payload: dict):
-    print(_dumps(payload))
-
-
 def _json_rows(columns: dict[str, np.ndarray]) -> str:
     """The text _dumps gives, as the value of a top-level key, for the list
     of row objects {key: column[i]} of equal-length float64 columns.
@@ -147,7 +143,7 @@ def _hv_demo_json(report) -> str:
 
 def _emit(output_format: str, payload: dict, lines: list[str]):
     if output_format == "json":
-        _print_json(payload)
+        print(_dumps(payload))
     else:
         for line in lines:
             print(line)
@@ -155,11 +151,11 @@ def _emit(output_format: str, payload: dict, lines: list[str]):
 
 def _emit_error(output_format: str, command: str, exc: Exception, code: int) -> int:
     if output_format == "json":
-        _print_json(_payload(
+        print(_dumps(_payload(
             command,
             passed=False,
             error={"type": type(exc).__name__, "message": str(exc)},
-        ))
+        )))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code

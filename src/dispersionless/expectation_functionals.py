@@ -25,6 +25,7 @@ from .operator_core import (
     SIGMA_Z,
     Spectrum,
     ValidationError,
+    _require_tol,
     as_hermitian,
     as_hermitian_stack,
     eigendecompose,
@@ -164,12 +165,6 @@ class PureState:
             ) from None
         return cls.normalized([complex(a_re, a_im), complex(b_re, b_im)])
 
-    @classmethod
-    def basis_state(cls, dim: int, k: int) -> "PureState":
-        v = np.zeros(dim, dtype=np.complex128)
-        v[k] = 1.0
-        return cls(v)
-
     @property
     def vector(self) -> np.ndarray:
         return self._vector
@@ -221,10 +216,6 @@ class DensityMatrix:
     @classmethod
     def pure(cls, phi: PureState) -> "DensityMatrix":
         return cls(HermitianOperator(phi.projector()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(HermitianOperator(identity(dim) / dim))
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "DensityMatrix":
@@ -413,21 +404,13 @@ def hermitian_basis(dim: int) -> list[HermitianOperator]:
 
 
 def _canonical_band(dim: int) -> np.ndarray:
-    # the matrices of canonical_noncommuting_probes as one (k, dim, dim) band
+    # the deterministic probe triple as one (k, dim, dim) band: a
+    # non-commuting 2x2 pair and their sum, whose spectrum is not the sum of
+    # spectra; empty for dimension 1, where every pair commutes
     band = np.zeros((3 if dim >= 2 else 0, dim, dim), dtype=np.complex128)
     if dim >= 2:
         band[:, :2, :2] = SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Y
     return band
-
-
-def canonical_noncommuting_probes(dim: int) -> list[HermitianOperator]:
-    """Deterministic probe triple built on a non-commuting 2x2 pair.
-
-    The first two members commute with nothing that treats them jointly;
-    the third is their sum, whose spectrum is not the sum of spectra.
-    Empty for dimension 1, where every pair commutes.
-    """
-    return [HermitianOperator(m) for m in _canonical_band(dim)]
 
 
 def reconstruct_density(
@@ -454,11 +437,13 @@ def reconstruct_density(
     The basis and the probes are Hermitian by construction and go to the
     functional's band formula unchecked, in bands of at most
     ``_BAND_CELLS`` cells; a probe band is drawn only when every earlier
-    probe passed.
+    probe passed.  A NaN value fails its check.  Raises ValidationError
+    unless lin_tol is finite and positive.
     """
+    _require_tol("linearity tolerance", lin_tol)
     dim = f.dim
     norm_value = f(HermitianOperator(identity(dim)))
-    if abs(norm_value - 1.0) > lin_tol:
+    if not abs(norm_value - 1.0) <= lin_tol:
         raise NormalizationViolation(norm_value)
 
     def evaluate(band):
@@ -487,7 +472,7 @@ def reconstruct_density(
 
     for band in probes():
         lhs, rhs = evaluate(band), form._evaluate_stack(band)
-        failed = np.abs(lhs - rhs) > lin_tol
+        failed = ~(np.abs(lhs - rhs) <= lin_tol)
         if failed.any():
             first = int(np.argmax(failed))
             raise AdditivityViolation(HermitianOperator(band[first]), lhs[first], rhs[first])
@@ -559,8 +544,10 @@ def check_linearity(
     functions of one shared generator, combined with non-negative weights:
     additivity over such jointly measurable combinations is exactly the
     weakened assumption that survives the counterexamples killing the
-    unrestricted form.
+    unrestricted form.  Raises ValidationError unless tol is finite and
+    positive.
     """
+    _require_tol("linearity tolerance", tol)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     rng = np.random.default_rng(seed)

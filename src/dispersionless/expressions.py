@@ -349,11 +349,11 @@ def _evaluate(node):
     raise ExprEvalError(f"not an expression node: {node!r}")
 
 
-def evaluate_matrix(node, default_dim: int = _DEFAULT_DIM) -> np.ndarray:
+def evaluate_matrix(node) -> np.ndarray:
     """Evaluate a tree to a concrete matrix.
 
     A dimension-agnostic result (built only from I and scalars) is pinned
-    to default_dim; a bare scalar is rejected since every consumer wants
+    to dimension 2; a bare scalar is rejected since every consumer wants
     an operator.
     """
     value = _evaluate(node)
@@ -364,17 +364,13 @@ def evaluate_matrix(node, default_dim: int = _DEFAULT_DIM) -> np.ndarray:
             "expression evaluates to a bare scalar, not an operator; "
             "multiply by I to get an operator"
         )
-    return value.value * identity(default_dim)
+    return value.value * identity(_DEFAULT_DIM)
 
 
-def evaluate_hermitian(node, default_dim: int = _DEFAULT_DIM) -> HermitianOperator:
-    """Evaluate a tree to a Hermitian operator, rejecting non-Hermitian results."""
-    matrix = evaluate_matrix(node, default_dim)
+def parse_hermitian(src: str) -> HermitianOperator:
+    """Parse and evaluate source text to a Hermitian operator, rejecting non-Hermitian results."""
+    matrix = evaluate_matrix(parse_expr(src))
     try:
         return HermitianOperator(matrix)
     except ValidationError as exc:
         raise ExprEvalError(f"expression is not Hermitian-valued: {exc}") from exc
-
-
-def parse_hermitian(src: str, default_dim: int = _DEFAULT_DIM) -> HermitianOperator:
-    return evaluate_hermitian(parse_expr(src), default_dim)

@@ -68,18 +68,6 @@ class NcPolynomial:
             raise ValidationError("symbol name must be a non-empty string")
         return cls({(name,): 1})
 
-    @classmethod
-    def constant(cls, value) -> "NcPolynomial":
-        return cls({(): value})
-
-    @classmethod
-    def zero(cls) -> "NcPolynomial":
-        return cls()
-
-    @property
-    def terms(self) -> dict[Word, Fraction]:
-        return {word: Fraction(n, self._den) for word, n in self._nums.items()}
-
     def symbols(self) -> set[str]:
         return {name for word in self._nums for name in word}
 
@@ -133,14 +121,6 @@ class NcPolynomial:
         if num < 0:
             num, den = -num, -den
         return _reduced({w: n * den for w, n in self._nums.items()}, self._den * num)
-
-    def __pow__(self, exponent: int):
-        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
-            raise ValidationError("exponent must be a non-negative integer")
-        out = NcPolynomial.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical order: by word length, then lexicographically."""

@@ -221,10 +221,6 @@ class Spectrum:
         vals = np.asarray(f(self.eigenvalues), dtype=np.float64)
         return HermitianOperator((self.eigenvectors * vals) @ self.eigenvectors.conj().T)
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted eigenprojectors."""
-        return self.apply(lambda values: values).matrix
-
 
 def eigendecompose(op) -> Spectrum:
     """Diagonalize a Hermitian operator with LAPACK's eigh (through numpy).
@@ -236,9 +232,11 @@ def eigendecompose(op) -> Spectrum:
 
 
 def indicator_outside(points: Sequence[float], tol: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Elementwise indicator: 1 away from the given points, 0 within tol of any of them."""
-    if tol < 0:
-        raise ValidationError("tolerance must be non-negative")
+    """Elementwise indicator: 1 away from the given points, 0 within tol of any of them.
+
+    Raises ValidationError unless tol is finite and positive.
+    """
+    _require_tol("indicator tolerance", tol)
     pts = np.asarray(points, dtype=np.float64)
 
     def indicator(x: np.ndarray) -> np.ndarray:
@@ -258,28 +256,20 @@ def apply_function(f: Callable[[np.ndarray], np.ndarray], op) -> HermitianOperat
     return eigendecompose(op).apply(f)
 
 
-def spectrum_contains(op, value: float, tol: float) -> bool:
-    """Whether some eigenvalue of op lies within tol of value."""
-    if tol < 0:
-        raise ValidationError("tolerance must be non-negative")
-    spec = eigendecompose(as_hermitian(op))
-    return bool(np.min(np.abs(spec.eigenvalues - float(value))) <= tol)
-
-
 def commutator_norm(a, b) -> float:
     """Frobenius norm of AB - BA; zero (within COMM_TOL) iff the pair commutes."""
     a = as_hermitian(a)
     b = as_hermitian(b)
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a._require_same_dim(b)
     return frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def commutes(a, b, tol: float = COMM_TOL) -> bool:
-    """Whether ||AB - BA|| <= tol * ||A||·||B||, by commutator_within_tol."""
-    a = as_hermitian(a)
-    b = as_hermitian(b)
-    return commutator_within_tol(commutator_norm(a, b), a, b, tol)
+def _require_tol(what: str, tol: float):
+    # the one tolerance rule of the library: a NaN, infinite, zero or
+    # negative tolerance would turn every comparison against it into a
+    # fixed verdict
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"{what} must be finite and positive, got {tol!r}")
 
 
 def commutator_within_tol(norm: float, a: HermitianOperator, b: HermitianOperator,
@@ -290,14 +280,11 @@ def commutator_within_tol(norm: float, a: HermitianOperator, b: HermitianOperato
     verdict does not change under A -> cA.  Raises ValidationError unless
     tol is finite and positive.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"commutation tolerance must be finite and positive, got {tol!r}")
+    _require_tol("commutation tolerance", tol)
     return norm <= tol * a.norm() * b.norm()
 
 
-def random_hermitian_stack(
-    dim: int, rng: np.random.Generator, count: int, scale: float = 1.0
-) -> np.ndarray:
+def random_hermitian_stack(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """count matrices of standard complex Gaussian entries, each symmetrized to (G + G*)/2.
 
     Each matrix draws its dim^2 real parts, then its dim^2 imaginary parts,
@@ -306,24 +293,21 @@ def random_hermitian_stack(
     """
     x = rng.standard_normal((count, 2, dim, dim))
     g = x[:, 0] + 1j * x[:, 1]
-    g *= scale / math.sqrt(2.0)
+    # a multiply by the rounded 1/sqrt(2): dividing by sqrt(2) would move
+    # the last bits of every seeded draw
+    g *= 1.0 / math.sqrt(2.0)
     return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Standard complex Gaussian entries, symmetrized to (G + G*)/2."""
-    return HermitianOperator(random_hermitian_stack(dim, rng, 1, scale)[0])
+    return HermitianOperator(random_hermitian_stack(dim, rng, 1)[0])
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the shared wire format {"dim": n, "entries": [[[re, im], ...], ...]}."""
     m = as_square_matrix(m)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in m
-        ],
-    }
+    return {"dim": int(m.shape[0]), "entries": np.stack((m.real, m.imag), axis=-1).tolist()}
 
 
 def complex_from_pair(cell) -> complex:

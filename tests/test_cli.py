@@ -161,10 +161,6 @@ class TestEvaluation:
         m = evaluate_matrix(parse_expr("3*I"))
         assert m.shape == (2, 2)
 
-    def test_bare_identity_with_other_dim(self):
-        m = evaluate_matrix(parse_expr("3*I"), default_dim=4)
-        assert frobenius(m - 3 * identity(4)) == 0.0
-
     def test_unknown_identifier(self):
         with pytest.raises(ExprEvalError, match="unknown identifier"):
             evaluate_matrix(parse_expr("SW"))

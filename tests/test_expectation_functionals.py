@@ -22,7 +22,6 @@ from dispersionless.expectation_functionals import (
     NormalizationViolation,
     PositivityViolation,
     PureState,
-    canonical_noncommuting_probes,
     check_linearity,
     dispersion,
     dispersion_witness,
@@ -72,7 +71,7 @@ class TestPureState:
 
     def test_bloch_requires_dim2(self):
         with pytest.raises(ValidationError):
-            PureState.basis_state(3, 0).bloch()
+            PureState([1.0, 0.0, 0.0]).bloch()
 
 
 class TestDensityMatrix:
@@ -160,7 +159,7 @@ class TestReconstruction:
         out = reconstruct_density(f)
         assert len(calls) == 1
         assert frobenius(out.matrix - u0.matrix) <= 1e-10
-        assert frobenius(out.spectrum.reconstruct() - out.matrix) <= 1e-12
+        assert frobenius(out.spectrum.apply(lambda x: x).matrix - out.matrix) <= 1e-12
 
     def test_checks_only_the_identity_and_the_assembled_matrix(self, monkeypatch):
         # the basis and the probes are built Hermitian and go to the band
@@ -202,7 +201,7 @@ class TestReconstruction:
         reconstruct_density(ExpectationFunctional(dim, recording), probe_count=5, seed=seed)
         rng = RNG(seed)
         expected = [identity(dim)]
-        expected += [p.matrix for p in canonical_noncommuting_probes(dim)]
+        expected += list(ef._canonical_band(dim))
         expected += [random_hermitian(dim, rng).matrix for _ in range(5)]
         assert len(seen) == dim * dim + 1 + len(expected)
         for got, want in zip(seen[dim * dim + 1:], expected):
@@ -287,11 +286,31 @@ class TestReconstruction:
         assert abs(exc.value.eigenvalue + 0.5) <= 1e-9
 
     def test_unnormalized_violates_normalization(self):
-        u0 = DensityMatrix.maximally_mixed(2)
+        u0 = DensityMatrix(identity(2) / 2)
         f = ExpectationFunctional(2, lambda r: 1.2 * np.trace(u0.matrix @ r.matrix).real)
         with pytest.raises(NormalizationViolation, match="violates A'") as exc:
             reconstruct_density(f)
         assert abs(exc.value.value - 1.2) <= 1e-12
+
+    def test_nan_values_fail_their_check(self):
+        # the maximally mixed trace form on the identity and on the basis,
+        # NaN on every other operator; SX is a basis element, so the first
+        # probe that reads NaN is SY
+        known = [identity(2)] + [b.matrix for b in hermitian_basis(2)]
+
+        def evaluate(r):
+            return r.trace() / 2 if any(np.array_equal(r.matrix, k) for k in known) else math.nan
+
+        f = ExpectationFunctional(2, evaluate)
+        with pytest.raises(AdditivityViolation) as exc:
+            reconstruct_density(f)
+        assert np.array_equal(exc.value.probe.matrix, SIGMA_Y)
+        assert math.isnan(exc.value.lhs) and exc.value.rhs == 0.0
+        assert check_linearity(f, trials=3, seed=1).unrestricted_exceeds_tol
+
+        with pytest.raises(NormalizationViolation) as exc:
+            reconstruct_density(ExpectationFunctional(2, lambda r: math.nan))
+        assert math.isnan(exc.value.value)
 
     def test_additivity_violation_json(self):
         with pytest.raises(AdditivityViolation) as exc:
@@ -405,7 +424,7 @@ class TestStackEvaluation:
                 2, lambda r: r.trace(), evaluate_stack=lambda stack: np.trace(stack, axis1=1, axis2=2).real)
 
     def test_values_validates_the_band(self):
-        f = trace_functional(DensityMatrix.maximally_mixed(3))
+        f = trace_functional(DensityMatrix(identity(3) / 3))
         with pytest.raises(ValidationError, match="does not match functional dimension 3"):
             f.values(np.zeros((2, 2, 2)))
         band = np.zeros((3, 3, 3), dtype=np.complex128)
@@ -466,7 +485,7 @@ class TestDispersion:
         assert abs(dispersion(f, HermitianOperator(SIGMA_X)) - 1.0) <= 1e-12
 
     def test_maximally_mixed_sigma_z(self):
-        f = trace_functional(DensityMatrix.maximally_mixed(2))
+        f = trace_functional(DensityMatrix(identity(2) / 2))
         assert abs(dispersion(f, HermitianOperator(SIGMA_Z)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -489,7 +508,7 @@ class TestDispersionWitness:
         assert abs(np.trace(u.matrix @ witness.matrix).real - 0.5) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
-        u = DensityMatrix.maximally_mixed(2)
+        u = DensityMatrix(identity(2) / 2)
         witness, d = dispersion_witness(u)
         assert abs(d - 0.25) <= 1e-12
         np.testing.assert_allclose(witness.matrix, np.diag([1.0, 0.0]), atol=1e-12)
@@ -564,7 +583,7 @@ class TestPureStateExpectation:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            pure_state_expectation(PureState.basis_state(3, 0), HermitianOperator(SIGMA_X))
+            pure_state_expectation(PureState([1.0, 0.0, 0.0]), HermitianOperator(SIGMA_X))
 
     def test_large_operator_matches_numpy(self):
         # |<v|M|v>| ~ 3.2e9 with a roundoff imaginary part ~ 2e-7
@@ -584,7 +603,7 @@ class TestTraceFormLinearity:
         rng = RNG(70 + dim)
         u = DensityMatrix.random(dim, rng)
         f = trace_functional(u)
-        probes = canonical_noncommuting_probes(dim)
+        probes = ef._canonical_band(dim)
         lhs = f(probes[2])
         rhs = f(probes[0]) + f(probes[1])
         assert abs(lhs - rhs) <= 1e-12

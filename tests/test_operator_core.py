@@ -23,7 +23,7 @@ from dispersionless.operator_core import (
     as_hermitian_stack,
     as_square_matrix,
     commutator_norm,
-    commutes,
+    commutator_within_tol,
     eigendecompose,
     frobenius,
     identity,
@@ -32,7 +32,11 @@ from dispersionless.operator_core import (
     matrix_to_json,
     random_hermitian,
     random_hermitian_stack,
-    spectrum_contains,
+)
+from dispersionless.expectation_functionals import (
+    check_linearity,
+    max_eigenvalue_functional,
+    reconstruct_density,
 )
 
 RNG = np.random.default_rng
@@ -169,7 +173,7 @@ class TestEigendecompose:
         for _ in range(20):
             op = random_hermitian(dim, rng)
             spec = eigendecompose(op)
-            residual = frobenius(op.matrix - spec.reconstruct())
+            residual = frobenius(op.matrix - spec.apply(lambda x: x).matrix)
             assert residual <= EIG_TOL * max(1.0, op.norm())
             gram = spec.eigenvectors.conj().T @ spec.eigenvectors
             assert frobenius(gram - identity(dim)) <= EIG_TOL
@@ -205,7 +209,7 @@ class TestEigendecompose:
         op = HermitianOperator((m + m.conj().T) / 2)
         spec = eigendecompose(op)
         np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0, 4.0], atol=1e-12)
-        assert frobenius(op.matrix - spec.reconstruct()) <= 1e-12
+        assert frobenius(op.matrix - spec.apply(lambda x: x).matrix) <= 1e-12
         gram = spec.eigenvectors.conj().T @ spec.eigenvectors
         assert frobenius(gram - identity(3)) <= 1e-12
 
@@ -282,7 +286,7 @@ class TestApplyFunction:
         assert isinstance(square, HermitianOperator)
         np.testing.assert_allclose(square.matrix, np.diag([4.0, 1.0, 0.25]), atol=1e-12)
         np.testing.assert_allclose(sign.matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert frobenius(spec.apply(lambda x: x).matrix - spec.reconstruct()) == 0.0
+        assert frobenius(spec.apply(lambda x: x).matrix - t.matrix) <= 1e-12
 
     def test_indicator_rejects_negative_tolerance(self):
         with pytest.raises(ValidationError):
@@ -290,18 +294,23 @@ class TestApplyFunction:
 
 
 class TestSpectrumContains:
+    """Membership in a spectrum as offspec reads it: its indicator is 0 there."""
+
     def test_sigma_z_contains_one(self):
-        assert spectrum_contains(HermitianOperator(SIGMA_Z), 1.0, 1e-9)
+        indicator = indicator_outside(eigendecompose(HermitianOperator(SIGMA_Z)).eigenvalues, 1e-9)
+        assert indicator(np.array([1.0]))[0] == 0.0
 
     def test_xy_sum_misses_one(self):
-        assert not spectrum_contains(HermitianOperator(SIGMA_X + SIGMA_Y), 1.0, 1e-9)
+        spec = eigendecompose(HermitianOperator(SIGMA_X + SIGMA_Y))
+        assert indicator_outside(spec.eigenvalues, 1e-9)(np.array([1.0]))[0] == 1.0
 
     def test_xy_sum_contains_sqrt2(self):
-        assert spectrum_contains(HermitianOperator(SIGMA_X + SIGMA_Y), math.sqrt(2), 1e-9)
+        spec = eigendecompose(HermitianOperator(SIGMA_X + SIGMA_Y))
+        assert indicator_outside(spec.eigenvalues, 1e-9)(np.array([math.sqrt(2)]))[0] == 0.0
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValidationError):
-            spectrum_contains(HermitianOperator(SIGMA_Z), 1.0, -1e-3)
+            indicator_outside(eigendecompose(HermitianOperator(SIGMA_Z)).eigenvalues, -1e-3)
 
 
 class TestCommutator:
@@ -317,7 +326,7 @@ class TestCommutator:
         a = HermitianOperator(np.diag([1.0, 2.0]))
         b = HermitianOperator(np.diag([3.0, 4.0]))
         assert commutator_norm(a, b) == 0.0
-        assert commutes(a, b)
+        assert commutator_within_tol(commutator_norm(a, b), a, b, COMM_TOL)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -326,18 +335,30 @@ class TestCommutator:
     @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1.0, 1e6])
     def test_verdict_ignores_scale(self, scale):
         x, y, z = (HermitianOperator(scale * p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-        assert not commutes(x, y)
-        assert not commutes(x, HermitianOperator(SIGMA_Y))
-        assert commutes(z, HermitianOperator(np.diag([3.0, 7.0])))
-        assert commutes(z, 0.0 * z)
+        pairs = [
+            (x, y, False),
+            (x, HermitianOperator(SIGMA_Y), False),
+            (z, HermitianOperator(np.diag([3.0, 7.0])), True),
+            (z, 0.0 * z, True),
+        ]
+        for a, b, verdict in pairs:
+            assert commutator_within_tol(commutator_norm(a, b), a, b, COMM_TOL) is verdict
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
-        z = HermitianOperator(SIGMA_Z)
-        with pytest.raises(ValidationError, match="finite and positive"):
-            commutes(z, z, tol)
-        with pytest.raises(ValidationError, match="finite and positive"):
-            commutes(z, HermitianOperator(SIGMA_X), tol)
+        # one rule for every library tolerance; a bad one must not read as
+        # a verdict on the input
+        z, x = HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)
+        calls = [
+            lambda: commutator_within_tol(commutator_norm(z, z), z, z, tol),
+            lambda: commutator_within_tol(commutator_norm(z, x), z, x, tol),
+            lambda: reconstruct_density(max_eigenvalue_functional(2), lin_tol=tol),
+            lambda: check_linearity(max_eigenvalue_functional(2), trials=1, seed=0, tol=tol),
+            lambda: indicator_outside([1.0], tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="finite and positive"):
+                call()
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_hermitian_square_vanishes_iff_operator_does(self, dim):

@@ -120,7 +120,7 @@ TERMS = st.dictionaries(WORDS, COEFFS, max_size=5)
 class TestNcPolynomial:
     def test_zero_coefficients_dropped(self):
         p = NcPolynomial({("R",): Fraction(0), ("S",): Fraction(2)})
-        assert p.terms == {("S",): Fraction(2)}
+        assert p.sorted_terms() == [(("S",), Fraction(2))]
 
     def test_exact_equality(self):
         assert (R * S + S * R) / 2 == poly({"RS": (1, 2), "SR": (1, 2)})
@@ -133,9 +133,6 @@ class TestNcPolynomial:
         with pytest.raises(ValidationError):
             R * 0.5
 
-    def test_power(self):
-        assert (R + S) ** 2 == R * R + R * S + S * R + S * S
-
     def test_canonical_text_form(self):
         p = poly({"RRS": (1, 4), "RSR": (1, 2), "SRR": (1, 4)})
         assert str(p) == "1/4*RRS + 1/2*RSR + 1/4*SRR"
@@ -145,16 +142,15 @@ class TestNcPolynomial:
         assert str(p) == "1*R + 1*RS + 1*SR"
 
     def test_zero_prints_as_zero(self):
-        assert str(NcPolynomial.zero()) == "0"
+        assert str(NcPolynomial()) == "0"
 
     @pytest.mark.parametrize("make", [
         lambda: NcPolynomial({("R",): True}),
-        lambda: NcPolynomial.constant(False),
+        lambda: NcPolynomial({(): False}),
         lambda: R * True,
         lambda: True * R,
         lambda: R / True,
-        lambda: R ** True,
-    ], ids=["terms", "constant", "mul", "rmul", "div", "pow"])
+    ], ids=["terms", "constant", "mul", "rmul", "div"])
     def test_bool_scalars_rejected(self, make):
         with pytest.raises(ValidationError):
             make()
@@ -185,8 +181,7 @@ class TestNcPolynomial:
             (pa / n, ref_scale(a, Fraction(1, n))),
         ]
         for got, want in cases:
-            assert got.terms == want
-            assert all(type(c) is Fraction for c in got.terms.values())
+            assert all(type(c) is Fraction for _, c in got.sorted_terms())
             assert got.sorted_terms() == [(w, want[w]) for w in ref_order(want)]
             assert str(got) == ref_str(want)
             assert got == NcPolynomial(want)
@@ -284,7 +279,8 @@ class TestEvaluateNc:
         assert frobenius(got - identity(2)) <= 1e-14
 
     def test_commuting_diagonals_annihilate_commutator_square(self):
-        comm_sq = (R * S - S * R) ** 2
+        comm = R * S - S * R
+        comm_sq = comm * comm
         got = evaluate_nc(comm_sq, {"R": np.diag([1.0, 2.0]), "S": np.diag([3.0, 4.0])})
         assert frobenius(got) == 0.0
 
@@ -309,7 +305,7 @@ class TestEvaluateNc:
             assert np.array_equal(evaluate_nc(p, mats), left_to_right(p, mats, dim))
 
     def test_constant_term_scales_identity(self):
-        got = evaluate_nc(NcPolynomial.constant(3) + R, {"R": SIGMA_Z})
+        got = evaluate_nc(NcPolynomial({(): 3}) + R, {"R": SIGMA_Z})
         assert frobenius(got - (3 * identity(2) + SIGMA_Z)) <= 1e-14
 
 
