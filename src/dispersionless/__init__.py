@@ -69,7 +69,7 @@ from .hidden_variables import (
     lambda_grid,
     subensemble_functional,
 )
-from .expressions import parse_expr, parse_hermitian, pretty
+from .expressions import parse_hermitian
 from .cli import run_command
 
 __version__ = "0.1.0"

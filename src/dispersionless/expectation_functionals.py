@@ -314,9 +314,14 @@ def trace_functional(u, label: str = "") -> ExpectationFunctional:
     that defective linear functionals can be probed too.
     """
     op = u.operator if isinstance(u, DensityMatrix) else as_hermitian(u)
-    flat = op.matrix.ravel()
+    return _trace_form(op.matrix, label)
+
+
+def _trace_form(u: np.ndarray, label: str = "") -> ExpectationFunctional:
+    # the trace form of a matrix taken as it is, unchecked
+    flat = u.ravel()
     return ExpectationFunctional(
-        op.dim,
+        len(u),
         label=label or "trace-form",
         # per flattened slice r, vecdot(r, u) = sum conj(r_ij) u_ij = tr(u r)
         # for Hermitian r, in O(d^2)
@@ -437,8 +442,9 @@ def reconstruct_density(
     The basis and the probes are Hermitian by construction and go to the
     functional's band formula unchecked, in bands of at most
     ``_BAND_CELLS`` cells; a probe band is drawn only when every earlier
-    probe passed.  A NaN value fails its check.  Raises ValidationError
-    unless lin_tol is finite and positive.
+    probe passed.  A NaN value fails its check, and a NaN basis value the
+    first probe that reads it.  Raises ValidationError unless lin_tol is
+    finite and positive.
     """
     _require_tol("linearity tolerance", lin_tol)
     dim = f.dim
@@ -456,8 +462,9 @@ def reconstruct_density(
     upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
     u[rows, cols] = upper
     u[cols, rows] = upper.conj()
-    u_op = HermitianOperator(u)
-    form = trace_functional(u_op)
+    # u is checked only after the probes, so that a NaN value in it fails a
+    # probe comparison rather than the matrix check
+    form = _trace_form(u)
 
     def probes():
         # lazily, band by band: a failing band stops the rest, and a failing
@@ -477,6 +484,7 @@ def reconstruct_density(
             first = int(np.argmax(failed))
             raise AdditivityViolation(HermitianOperator(band[first]), lhs[first], rhs[first])
 
+    u_op = HermitianOperator(u)
     spec = eigendecompose(u_op)
     low = float(spec.eigenvalues.min())
     if low < -DM_TOL:

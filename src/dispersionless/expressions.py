@@ -10,13 +10,18 @@ NUMBER is an unsigned decimal scalar, IDENT names a built-in constant
 (I, SX, SY, SZ) or a function (sq, cube, abs, offspec), and '@path' loads
 a matrix in the shared JSON wire format.  'I' adapts to the dimension of
 whatever it is combined with, defaulting to 2 when nothing pins it down.
+
+Parsing yields a postfix program of (op, arg, (line, col)) steps, op one
+of num, const, file, call, '+', '-', '*', and finds every syntax error;
+evaluating it is one loop over a value stack, which alone reads files and
+looks up names.  '(' and calls nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +39,10 @@ from .operator_core import (
     SIGMA_Z,
 )
 
-CONSTANTS = {"SX": SIGMA_X, "SY": SIGMA_Y, "SZ": SIGMA_Z}
 _DEFAULT_DIM = 2
+# parentheses and function calls nest at most this deep; deeper input is a
+# syntax error rather than a parser recursion without bound
+MAX_NESTING = 100
 
 
 class ExprError(Exception):
@@ -55,39 +62,6 @@ class ExprSyntaxError(ExprError):
 
 class ExprEvalError(ExprError):
     pass
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class FileRef:
-    path: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 _TOKEN_RE = re.compile(
@@ -134,9 +108,12 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
+    # recursive descent that emits each operand and operator in postfix order
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
+        self.program = []
 
     @property
     def current(self) -> _Token:
@@ -146,6 +123,9 @@ class _Parser:
         tok = self.current
         self.idx += 1
         return tok
+
+    def emit(self, op: str, arg, tok: _Token):
+        self.program.append((op, arg, (tok.line, tok.col)))
 
     def expect_op(self, text: str):
         tok = self.current
@@ -157,89 +137,70 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        self.expr()
         tok = self.current
         if tok.kind != "eof":
             raise ExprSyntaxError(
                 f"unexpected trailing input {tok.text!r}", tok.line, tok.col
             )
-        return node
+        return self.program
 
     def expr(self):
-        node = self.term()
+        self.term()
         while self.current.kind == "op" and self.current.text in "+-":
             op = self.advance()
-            right = self.term()
-            node = BinOp(op.text, node, right, pos=(op.line, op.col))
-        return node
+            self.term()
+            self.emit(op.text, None, op)
 
     def term(self):
-        node = self.factor()
+        self.factor()
         while self.current.kind == "op" and self.current.text == "*":
             op = self.advance()
-            right = self.factor()
-            node = BinOp("*", node, right, pos=(op.line, op.col))
-        return node
+            self.factor()
+            self.emit("*", None, op)
 
     def factor(self):
         tok = self.current
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text), pos=(tok.line, tok.col))
-        if tok.kind == "file":
+            self.emit("num", float(tok.text), tok)
+        elif tok.kind == "file":
             self.advance()
-            return FileRef(tok.text[1:], pos=(tok.line, tok.col))
-        if tok.kind == "ident":
+            self.emit("file", tok.text[1:], tok)
+        elif tok.kind == "ident":
             self.advance()
             if self.current.kind == "op" and self.current.text == "(":
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg, pos=(tok.line, tok.col))
-            return Const(tok.text, pos=(tok.line, tok.col))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(
-            f"expected a number, name, '(' or '@file', found "
-            f"{tok.text or 'end of input'!r}",
-            tok.line, tok.col,
-        )
+                self.parenthesized(tok)
+                self.emit("call", tok.text, tok)
+            else:
+                self.emit("const", tok.text, tok)
+        elif tok.kind == "op" and tok.text == "(":
+            self.parenthesized(tok)
+        else:
+            raise ExprSyntaxError(
+                f"expected a number, name, '(' or '@file', found "
+                f"{tok.text or 'end of input'!r}",
+                tok.line, tok.col,
+            )
+
+    def parenthesized(self, opener: _Token):
+        # '(' expr ')' at the current token; opener is that '(' or the
+        # function name before it, where a too-deep nesting is reported
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                opener.line, opener.col,
+            )
+        self.depth += 1
+        self.advance()
+        self.expr()
+        self.expect_op(")")
+        self.depth -= 1
 
 
-def parse_expr(src: str):
-    """Parse source text into an expression tree, or raise ExprSyntaxError."""
+def parse_expr(src: str) -> list:
+    """Parse source text into a postfix program, or raise ExprSyntaxError."""
     return _Parser(_tokenize(src)).parse()
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
-
-
-def pretty(node) -> str:
-    """Render a tree back to source; reparsing yields an equal tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, FileRef):
-        return f"@{node.path}"
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-
-        def wrap(child, strict):
-            text = pretty(child)
-            if isinstance(child, BinOp):
-                child_prec = _PRECEDENCE[child.op]
-                if child_prec < prec or (strict and child_prec == prec):
-                    return f"({text})"
-            return text
-
-        return f"{wrap(node.left, False)} {node.op} {wrap(node.right, True)}"
-    raise ExprEvalError(f"not an expression node: {node!r}")
 
 
 # evaluation values: a concrete matrix is a bare ndarray; a _Scalar is a
@@ -248,6 +209,9 @@ def pretty(node) -> str:
 class _Scalar:
     value: float
     identity: bool = False
+
+
+CONSTANTS = {"SX": SIGMA_X, "SY": SIGMA_Y, "SZ": SIGMA_Z, "I": _Scalar(1.0, identity=True)}
 
 
 def _load_matrix_file(path: str, pos) -> np.ndarray:
@@ -327,36 +291,32 @@ def _apply_call(func, value, pos):
     raise ExprEvalError(f"unknown function {func!r}", *pos)
 
 
-def _evaluate(node):
-    if isinstance(node, Num):
-        return _Scalar(node.value)
-    if isinstance(node, Const):
-        if node.name == "I":
-            return _Scalar(1.0, identity=True)
-        if node.name in CONSTANTS:
-            return CONSTANTS[node.name]
-        raise ExprEvalError(f"unknown identifier {node.name!r}", *node.pos)
-    if isinstance(node, FileRef):
-        return _load_matrix_file(node.path, node.pos)
-    if isinstance(node, Call):
-        return _apply_call(node.func, _evaluate(node.arg), node.pos)
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left)
-        right = _evaluate(node.right)
-        if node.op == "*":
-            return _combine_mul(left, right, node.pos)
-        return _combine_add(node.op, left, right, node.pos)
-    raise ExprEvalError(f"not an expression node: {node!r}")
-
-
-def evaluate_matrix(node) -> np.ndarray:
-    """Evaluate a tree to a concrete matrix.
+def evaluate_matrix(program) -> np.ndarray:
+    """Evaluate a postfix program to a concrete matrix, operands in source order.
 
     A dimension-agnostic result (built only from I and scalars) is pinned
     to dimension 2; a bare scalar is rejected since every consumer wants
     an operator.
     """
-    value = _evaluate(node)
+    stack = []
+    for op, arg, pos in program:
+        if op == "num":
+            stack.append(_Scalar(arg))
+        elif op == "const":
+            if arg not in CONSTANTS:
+                raise ExprEvalError(f"unknown identifier {arg!r}", *pos)
+            stack.append(CONSTANTS[arg])
+        elif op == "file":
+            stack.append(_load_matrix_file(arg, pos))
+        elif op == "call":
+            stack.append(_apply_call(arg, stack.pop(), pos))
+        else:
+            right, left = stack.pop(), stack.pop()
+            if op == "*":
+                stack.append(_combine_mul(left, right, pos))
+            else:
+                stack.append(_combine_add(op, left, right, pos))
+    (value,) = stack
     if not isinstance(value, _Scalar):
         return value
     if not value.identity:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,21 +20,18 @@ import dispersionless.cli as cli
 from dispersionless import expressions, hidden_variables, operator_core
 from dispersionless.cli import run_command
 from dispersionless.expressions import (
-    BinOp,
-    Call,
-    Const,
+    MAX_NESTING,
     ExprEvalError,
     ExprSyntaxError,
-    FileRef,
-    Num,
     evaluate_matrix,
     parse_expr,
     parse_hermitian,
-    pretty,
 )
 from dispersionless.expectation_functionals import PureState
 from dispersionless.operator_core import (
+    HERM_TOL,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     frobenius,
     identity,
@@ -95,29 +93,30 @@ CORPUS = [
 ]
 
 
+def value(src):
+    return evaluate_matrix(parse_expr(src))
+
+
 class TestParser:
     def test_simple_sum(self):
-        tree = parse_expr("SX + SY")
-        assert tree == BinOp("+", Const("SX"), Const("SY"))
+        assert np.array_equal(value("SX + SY"), SIGMA_X + SIGMA_Y)
 
     def test_weighted_sum(self):
-        tree = parse_expr("0.5*SX + 0.5*SZ")
-        assert tree == BinOp(
-            "+",
-            BinOp("*", Num(0.5), Const("SX")),
-            BinOp("*", Num(0.5), Const("SZ")),
-        )
+        assert np.array_equal(value("0.5*SX + 0.5*SZ"), 0.5 * SIGMA_X + 0.5 * SIGMA_Z)
 
     def test_call_node(self):
-        tree = parse_expr("sq(SX + SY)")
-        assert tree == Call("sq", BinOp("+", Const("SX"), Const("SY")))
+        s = SIGMA_X + SIGMA_Y
+        assert np.array_equal(value("sq(SX + SY)"), s @ s)
 
-    def test_file_ref(self):
-        assert parse_expr("@m.json") == FileRef("m.json")
+    def test_file_ref(self, tmp_path):
+        f = random_hermitian(3, np.random.default_rng(5)).matrix
+        path = write_density(tmp_path, f, "m.json")
+        assert np.array_equal(value(f"@{path}"), f)
 
     def test_left_associativity(self):
-        tree = parse_expr("SX - SY - SZ")
-        assert tree == BinOp("-", BinOp("-", Const("SX"), Const("SY")), Const("SZ"))
+        m = value("SX - SY - SZ")
+        assert np.array_equal(m, (SIGMA_X - SIGMA_Y) - SIGMA_Z)
+        assert not np.array_equal(m, value("SX - (SY - SZ)"))
 
     def test_syntax_error_has_position(self):
         with pytest.raises(ExprSyntaxError) as exc:
@@ -140,11 +139,90 @@ class TestParser:
 
     @pytest.mark.parametrize("src", CORPUS)
     def test_round_trip(self, src):
-        tree = parse_expr(src)
-        assert parse_expr(pretty(tree)) == tree
+        # every corpus entry parses, and each step of its program leads
+        # back to the source text at the step's position
+        program = parse_expr(src)
+        assert program
+        for op, arg, (line, col) in program:
+            rest = src.splitlines()[line - 1][col - 1:]
+            if op == "num":
+                assert float(re.match(r"[0-9.]+(e[+-]?[0-9]+)?", rest).group()) == arg
+            else:
+                assert rest.startswith({"const": arg, "call": f"{arg}(", "file": f"@{arg}"}.get(op, op))
 
     def test_corpus_size(self):
         assert len(CORPUS) >= 50
+
+    @pytest.mark.parametrize("opener, expected", [("(", SIGMA_X), ("sq(", identity(2))])
+    def test_nesting_cap(self, opener, expected):
+        def nested(depth):
+            return opener * depth + "SX" + ")" * depth
+
+        assert np.array_equal(value(nested(MAX_NESTING)), expected)
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+            parse_expr("SX + " + nested(MAX_NESTING + 1))
+        # reported at the opening token one level past the cap
+        assert (exc.value.line, exc.value.col) == (1, 6 + MAX_NESTING * len(opener))
+
+    @pytest.mark.parametrize("text", ["foo + (", "@missing.json )", "log(SX) +"])
+    def test_syntax_errors_come_before_evaluation(self, text):
+        with pytest.raises(ExprSyntaxError):
+            parse_hermitian(text)
+
+
+# operator expressions of depth <= 4 as (text, numpy value, precedence);
+# precedence 1 for a sum, 2 for a product, 3 for anything that never needs
+# parentheses, which the rendering adds only where the grammar needs them
+_LEAVES = {"SX": SIGMA_X, "SY": SIGMA_Y, "SZ": SIGMA_Z, "I": identity(2)}
+
+
+def _wrap(node, prec, strict):
+    text, _, own = node
+    return f"({text})" if own < prec or (strict and own == prec) else text
+
+
+def _binary(args):
+    left, op, right = args
+    prec = 2 if op == "*" else 1
+    text = f"{_wrap(left, prec, False)} {op} {_wrap(right, prec, True)}"
+    combine = {"+": np.add, "-": np.subtract, "*": np.matmul}[op]
+    return text, combine(left[1], right[1]), prec
+
+
+def _scaled(args):
+    x, node = args
+    return f"{x!r}*{_wrap(node, 2, True)}", x * node[1], 2
+
+
+def _call(args):
+    func, (text, m, _) = args
+    return f"{func}({text})", m @ m if func == "sq" else m @ m @ m, 3
+
+
+def _operator_exprs(depth):
+    leaf = st.sampled_from(sorted(_LEAVES)).map(lambda name: (name, _LEAVES[name], 3))
+    if depth == 0:
+        return leaf
+    sub = _operator_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(_binary),
+        st.tuples(st.floats(0, 4), sub).map(_scaled),
+        st.tuples(st.sampled_from(["sq", "cube"]), sub).map(_call),
+    )
+
+
+class TestEvaluationProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(node=_operator_exprs(4))
+    def test_matches_numpy(self, node):
+        text, expected, _ = node
+        norm = frobenius(expected)
+        if frobenius(expected - expected.conj().T) > HERM_TOL * max(1.0, norm):
+            with pytest.raises(ExprEvalError, match="not Hermitian"):
+                parse_hermitian(text)
+        else:
+            assert frobenius(parse_hermitian(text).matrix - expected) <= 1e-12 * (1 + norm)
 
 
 class TestEvaluation:
@@ -244,6 +322,12 @@ class TestEvaluation:
     def test_missing_file(self):
         with pytest.raises(ExprEvalError, match="cannot read"):
             evaluate_matrix(parse_expr("@no/such/file.json"))
+
+    @pytest.mark.parametrize("text, col", [("SX + log(SY)", 6), ("1 + SX", 3)])
+    def test_evaluation_error_positions(self, text, col):
+        with pytest.raises(ExprEvalError) as exc:
+            value(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def run(capsys, *argv):
@@ -554,6 +638,26 @@ all steps hold: jointly measurable quantities must commute
         data = json.loads(out)
         assert data["passed"] is False
         assert data["error"]["type"] == "ExprSyntaxError"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nesting_past_cap_refused(self, capsys, fmt):
+        text = "(" * 1000 + "SX" + ")" * 1000
+        code, out, err = run(capsys, "spectrum", "--expr", text, "--format", fmt)
+        assert code == 2
+        message = (f"expression nested deeper than {MAX_NESTING} levels "
+                   f"(line 1, column {MAX_NESTING + 1})")
+        if fmt == "json":
+            assert err == ""
+            assert json.loads(out)["error"] == {"type": "ExprSyntaxError", "message": message}
+        else:
+            assert (out, err) == ("", f"error: {message}\n")
+
+    def test_long_flat_sum(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "--expr", "+".join(["SX"] * 5000), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eigenvalues"] == [-5000.0, 5000.0]
 
     def test_unknown_subcommand(self, capsys):
         assert run_command(["no-such-command"]) == 2

@@ -312,6 +312,20 @@ class TestReconstruction:
             reconstruct_density(ExpectationFunctional(2, lambda r: math.nan))
         assert math.isnan(exc.value.value)
 
+    @pytest.mark.parametrize("evaluate", [
+        # normalized, NaN on every basis element
+        lambda r: 1.0 if np.array_equal(r.matrix, identity(2)) else math.nan,
+        # the maximally mixed trace form, NaN only on the off-diagonal SX
+        lambda r: math.nan if np.array_equal(r.matrix, SIGMA_X) else r.trace() / 2,
+    ], ids=["every-basis-value", "off-diagonal"])
+    def test_nan_basis_value_fails_a_probe(self, evaluate):
+        # the band formula sums every cell of u, and 0 * NaN is NaN, so the
+        # trace form is NaN already on the identity, the first probe
+        with pytest.raises(AdditivityViolation) as exc:
+            reconstruct_density(ExpectationFunctional(2, evaluate))
+        assert np.array_equal(exc.value.probe.matrix, identity(2))
+        assert exc.value.lhs == 1.0 and math.isnan(exc.value.rhs)
+
     def test_additivity_violation_json(self):
         with pytest.raises(AdditivityViolation) as exc:
             reconstruct_density(max_eigenvalue_functional(2))
