@@ -24,10 +24,10 @@ from .expectation_functionals import (
     FunctionalViolation,
     LIN_TOL,
     PureState,
-    hermitian_basis,
+    _basis_bands,
+    _reconstruct,
     max_eigenvalue_functional,
     pure_state_functional,
-    reconstruct_density,
     trace_functional,
     dispersion_witness,
 )
@@ -41,10 +41,11 @@ from .operator_core import (
     COMM_TOL,
     HermitianOperator,
     ValidationError,
-    complex_from_pair,
+    complex_from_pairs,
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
+    matrices_to_json,
 )
 from .symmetrized_algebra import joint_measurability_witness, verify_appendix1_chain
 
@@ -105,8 +106,76 @@ def _payload(command: str, **fields) -> dict:
     return out
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=JSON_INDENT, sort_keys=True)
+def _dumps(payload) -> str:
+    """json.dumps(payload, indent=JSON_INDENT, sort_keys=True), for dicts with str keys.
+
+    The stdlib indents only in its pure-Python encoder.  Here the payload is
+    walked into a %-template of its layout; its keys and scalars are written
+    by one call of the C encoder, and each list whose leaves sit at one
+    depth by one call of its own.
+    """
+    scalars = []
+    template = _layout(payload, "\n", scalars)
+    # compact JSON holds no newline, so newlines part the scalars' texts
+    texts = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n") if scalars else []
+    return template % tuple(texts)
+
+
+def _layout(value, newline: str, scalars: list) -> str:
+    # the text of value at the level newline opens, with a %s for each key
+    # and scalar, which go to scalars in order
+    inner = newline + " " * JSON_INDENT
+    if isinstance(value, dict):
+        items = []
+        for key in sorted(value):
+            scalars.append(key)
+            items.append("%s: " + _layout(value[key], inner, scalars))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        text = _leaf_array(value, newline)
+        if text is not None:
+            return text
+        items = [_layout(item, inner, scalars) for item in value]
+        brackets = "[]"
+    else:
+        scalars.append(value)
+        return "%s"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _leaf_array(value, newline: str) -> str | None:
+    # _layout of a list whose leaves (numbers, bools, None) all sit at one
+    # depth, with no empty list, from its compact text; None for any other
+    if not value or isinstance(value[0], (str, dict)):
+        return None
+    text = json.dumps(value)
+    depth = len(text) - len(text.lstrip("["))
+    if '"' in text or "{" in text or "[]" in text or not text.endswith("]" * depth):
+        return None
+    head, seams, tail = _leaf_layout(newline, depth)
+    body = text[depth:-depth]
+    for compact, indented in seams:
+        body = body.replace(compact, indented)
+    text = head + body + tail
+    # past the first leaf the depth rises only at a seam with more "[" than
+    # "]", and that leaves a "[" beside a leaf
+    return text if text.count("[") == text.count("[\n") else None
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_layout(newline: str, depth: int):
+    # for _leaf_array: the text before the first leaf, the (compact,
+    # indented) seams "]" * j + ", " + "[" * j between leaves, widest first,
+    # none of them left with a ", ", and the text after the last leaf
+    starts = [newline + " " * (JSON_INDENT * level) for level in range(depth + 1)]
+    ends = [start + "]" for start in reversed(starts[:depth])]
+    opens = [start + "[" for start in starts[1:depth]]
+    seams = tuple(("]" * j + ", " + "[" * j,
+                   "".join(ends[:j]) + "," + "".join(opens[depth - 1 - j:]) + starts[depth])
+                  for j in reversed(range(depth)))
+    return "[" + "".join(opens) + starts[depth], seams, "".join(ends)
 
 
 def _json_rows(columns: dict[str, np.ndarray]) -> str:
@@ -196,7 +265,7 @@ def state_from_spec(spec: str) -> PureState:
                 f"state file {spec[1:]!r} must hold a JSON list of [re, im] pairs"
             )
         try:
-            return PureState.normalized([complex_from_pair(cell) for cell in obj])
+            return PureState.normalized(complex_from_pairs(obj, "state vector"))
         except ValidationError as exc:
             raise CliInputError(f"bad state vector in {spec[1:]!r}: {exc}") from exc
     try:
@@ -278,43 +347,30 @@ def cmd_reconstruct(args) -> int:
         raise CliInputError(
             f"reconstruct handles dimension at most {MAX_DIM}, got {functional.dim}"
         )
-    transcript = [
-        {"probe": matrix_to_json(op.matrix), "value": functional(op)}
-        for op in hermitian_basis(functional.dim)
-    ]
     try:
-        density = reconstruct_density(
-            functional,
-            probe_count=args.trials,
-            seed=seed,
-            lin_tol=args.lin_tol,
-        )
+        values, density = _reconstruct(functional, args.trials, seed, args.lin_tol)
     except FunctionalViolation as exc:
+        values, passed, result = exc.values, False, {"verdict": exc.to_json()}
         lines = [
             f"functional {label}: {exc}",
             "no density matrix reproduces this functional",
         ]
-        _emit(args.output_format, _payload(
-            "reconstruct",
-            passed=False,
-            functional=label,
-            verdict=exc.to_json(),
-            transcript=transcript,
-        ), lines)
-        return EXIT_FAIL
-    lines = [
-        f"functional {label} is normalized, positive, and additive;",
-        "recovered the density matrix of its trace form:",
-    ]
-    lines += _matrix_lines(density.matrix)
-    _emit(args.output_format, _payload(
-        "reconstruct",
-        passed=True,
-        functional=label,
-        density=density.to_json(),
-        transcript=transcript,
-    ), lines)
-    return EXIT_OK
+    else:
+        passed, result = True, {"density": density.to_json()}
+        lines = [
+            f"functional {label} is normalized, positive, and additive;",
+            "recovered the density matrix of its trace form:",
+        ]
+        lines += _matrix_lines(density.matrix)
+    if args.output_format == "json":
+        # the transcript: each basis element beside the functional's value on it
+        probes = [p for band in _basis_bands(functional.dim) for p in matrices_to_json(band)]
+        transcript = [{"probe": p, "value": v} for p, v in zip(probes, values.tolist())]
+        lines = [_dumps(_payload(
+            "reconstruct", passed=passed, functional=label, transcript=transcript, **result,
+        ))]
+    print("\n".join(lines))
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_dispersion_witness(args) -> int:

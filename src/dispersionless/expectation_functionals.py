@@ -427,7 +427,7 @@ def reconstruct_density(
     """Assemble the density matrix a normalized additive functional must have.
 
     The matrix is built entrywise from the functional's values on the
-    Hermitian basis; nothing is assumed.  Verification order matters:
+    Hermitian basis, read first; nothing is assumed.  Verification order matters:
 
     1. the value on the identity must be 1, else the functional is not
        normalized (A' fails);
@@ -446,53 +446,64 @@ def reconstruct_density(
     first probe that reads it.  Raises ValidationError unless lin_tol is
     finite and positive.
     """
+    return _reconstruct(f, probe_count, seed, lin_tol)[1]
+
+
+def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatrix]:
+    # reconstruct_density, also returning the basis values in _basis_bands
+    # order; a FunctionalViolation it raises carries them as `values`
     _require_tol("linearity tolerance", lin_tol)
     dim = f.dim
-    norm_value = f(HermitianOperator(identity(dim)))
-    if not abs(norm_value - 1.0) <= lin_tol:
-        raise NormalizationViolation(norm_value)
 
     def evaluate(band):
         # the bands built here are Hermitian, so none is checked again
         return np.asarray(f._evaluate_stack(band), dtype=np.float64)
 
     values = np.concatenate([evaluate(band) for band in _basis_bands(dim)])
-    u = np.diag(values[:dim].astype(np.complex128))
-    rows, cols = np.triu_indices(dim, 1)
-    upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
-    u[rows, cols] = upper
-    u[cols, rows] = upper.conj()
-    # u is checked only after the probes, so that a NaN value in it fails a
-    # probe comparison rather than the matrix check
-    form = _trace_form(u)
+    try:
+        norm_value = f(HermitianOperator(identity(dim)))
+        if not abs(norm_value - 1.0) <= lin_tol:
+            raise NormalizationViolation(norm_value)
 
-    def probes():
-        # lazily, band by band: a failing band stops the rest, and a failing
-        # fixed band does not even seed the generator
-        yield identity(dim)[None]
-        if dim >= 2:
-            yield _canonical_band(dim)
-        rng = np.random.default_rng(seed)
-        step = _band_length(dim)
-        for start in range(0, probe_count, step):
-            yield random_hermitian_stack(dim, rng, min(step, probe_count - start))
+        u = np.diag(values[:dim].astype(np.complex128))
+        rows, cols = np.triu_indices(dim, 1)
+        upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
+        u[rows, cols] = upper
+        u[cols, rows] = upper.conj()
+        # u is checked only after the probes, so that a NaN value in it fails a
+        # probe comparison rather than the matrix check
+        form = _trace_form(u)
 
-    for band in probes():
-        lhs, rhs = evaluate(band), form._evaluate_stack(band)
-        failed = ~(np.abs(lhs - rhs) <= lin_tol)
-        if failed.any():
-            first = int(np.argmax(failed))
-            raise AdditivityViolation(HermitianOperator(band[first]), lhs[first], rhs[first])
+        def probes():
+            # lazily, band by band: a failing band stops the rest, and a
+            # failing fixed band does not even seed the generator
+            yield identity(dim)[None]
+            if dim >= 2:
+                yield _canonical_band(dim)
+            rng = np.random.default_rng(seed)
+            step = _band_length(dim)
+            for start in range(0, probe_count, step):
+                yield random_hermitian_stack(dim, rng, min(step, probe_count - start))
 
-    u_op = HermitianOperator(u)
-    spec = eigendecompose(u_op)
-    low = float(spec.eigenvalues.min())
-    if low < -DM_TOL:
-        raise PositivityViolation(low)
-    tr = u_op.trace()
-    if abs(tr - 1.0) > DM_TOL:
-        raise NormalizationViolation(tr)
-    return DensityMatrix._from_spectrum(u_op, spec)
+        for band in probes():
+            lhs, rhs = evaluate(band), form._evaluate_stack(band)
+            failed = ~(np.abs(lhs - rhs) <= lin_tol)
+            if failed.any():
+                first = int(np.argmax(failed))
+                raise AdditivityViolation(HermitianOperator(band[first]), lhs[first], rhs[first])
+
+        u_op = HermitianOperator(u)
+        spec = eigendecompose(u_op)
+        low = float(spec.eigenvalues.min())
+        if low < -DM_TOL:
+            raise PositivityViolation(low)
+        tr = u_op.trace()
+        if abs(tr - 1.0) > DM_TOL:
+            raise NormalizationViolation(tr)
+    except FunctionalViolation as exc:
+        exc.values = values
+        raise
+    return values, DensityMatrix._from_spectrum(u_op, spec)
 
 
 @dataclass(frozen=True)

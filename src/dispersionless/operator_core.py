@@ -306,18 +306,38 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
 
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the shared wire format {"dim": n, "entries": [[[re, im], ...], ...]}."""
-    m = as_square_matrix(m)
-    return {"dim": int(m.shape[0]), "entries": np.stack((m.real, m.imag), axis=-1).tolist()}
+    return matrices_to_json(as_square_matrix(m)[None])[0]
 
 
-def complex_from_pair(cell) -> complex:
-    """One [re, im] pair of the wire format (matrix cells, state entries)."""
-    if (not isinstance(cell, Sequence)) or isinstance(cell, str) or len(cell) != 2:
-        raise ValidationError("JSON entries must be [re, im] pairs")
-    # JSON true/false parse to bool, which Python counts as numbers.Real
-    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in cell):
-        raise ValidationError("JSON [re, im] parts must be real numbers")
-    return complex(float(cell[0]), float(cell[1]))
+def matrices_to_json(stack: np.ndarray) -> list[dict]:
+    """matrix_to_json of each slice of a finite (k, d, d) complex array, in one conversion."""
+    dim = stack.shape[-1]
+    return [{"dim": dim, "entries": entries}
+            for entries in np.stack((stack.real, stack.imag), axis=-1).tolist()]
+
+
+def complex_from_pairs(pairs, what: str) -> np.ndarray:
+    """[re, im] pairs of the wire format (matrix cells, state entries) as a complex128 vector.
+
+    Every pair is checked, in order, before any is converted; ``what`` names
+    the entries in the error for an integer beyond the float range.
+    """
+    for cell in pairs:
+        # the types json.load gives are tried before the abstract ones
+        if (type(cell) is not list and (isinstance(cell, str) or not isinstance(cell, Sequence))
+                or len(cell) != 2):
+            raise ValidationError("JSON entries must be [re, im] pairs")
+        for part in cell:
+            # JSON true/false parse to bool, which Python counts as numbers.Real
+            if type(part) not in (float, int) and (
+                    isinstance(part, bool) or not isinstance(part, numbers.Real)):
+                raise ValidationError("JSON [re, im] parts must be real numbers")
+    try:
+        parts = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:
+        # json.load parses an integer of any length exactly
+        raise ValidationError(f"{what} entries must be finite") from None
+    return parts.view(np.complex128)[:, 0]
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -334,4 +354,5 @@ def matrix_from_json(obj) -> np.ndarray:
     for row in entries:
         if not isinstance(row, Sequence) or len(row) != dim:
             raise ValidationError("matrix JSON rows must each have exactly 'dim' cells")
-    return as_square_matrix([[complex_from_pair(cell) for cell in row] for row in entries])
+    cells = [cell for row in entries for cell in row]
+    return as_square_matrix(complex_from_pairs(cells, "matrix").reshape(dim, dim))

@@ -27,9 +27,16 @@ from dispersionless.expressions import (
     parse_expr,
     parse_hermitian,
 )
-from dispersionless.expectation_functionals import PureState
+from dispersionless.expectation_functionals import (
+    ExpectationFunctional,
+    PureState,
+    hermitian_basis,
+    reconstruct_density,
+    trace_functional,
+)
 from dispersionless.operator_core import (
     HERM_TOL,
+    HermitianOperator,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -754,9 +761,9 @@ all steps hold: jointly measurable quantities must commute
          "--lambda-grid-size must be at most 1000000"),
     ], ids=["dim", "trials", "grid"])
     def test_input_limits(self, capsys, monkeypatch, argv, flag, limit, message):
-        # the limit itself gets as far as building the basis or the grid;
-        # one above it is refused before either is built
-        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        # the limit itself gets as far as reconstruction or the grid; one
+        # above it is refused before either starts
+        monkeypatch.setattr(cli, "_reconstruct", _reached)
         monkeypatch.setattr(cli, "lambda_grid", _reached)
         with pytest.raises(_Reached):
             run_command([*argv, flag, str(limit)])
@@ -770,7 +777,7 @@ all steps hold: jointly measurable quantities must commute
     def test_trace_file_dimension_limit(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(matrix_to_json(identity(33) / 33)))
-        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        monkeypatch.setattr(cli, "_reconstruct", _reached)
         code, out, _ = run(
             capsys, "reconstruct", "--functional", f"trace:@{path}", "--format", "json",
         )
@@ -867,7 +874,7 @@ class TestReconstructOptions:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("dim", ["5", "0"])
     def test_dim_must_match_functional(self, capsys, monkeypatch, dim, fmt):
-        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        monkeypatch.setattr(cli, "_reconstruct", _reached)
         code, out, err = run(
             capsys, "reconstruct", "--functional", "pure:x+", "--dim", dim, "--format", fmt,
         )
@@ -897,7 +904,7 @@ class TestReconstructOptions:
 
     def test_maxeig_dim_zero_refused(self, capsys, monkeypatch):
         # a zero --dim is an error, not a fallback to the default dimension
-        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        monkeypatch.setattr(cli, "_reconstruct", _reached)
         code, out, err = run(capsys, "reconstruct", "--functional", "maxeig", "--dim", "0")
         assert (code, out) == (2, "")
         assert "dimension must be at least 1" in err
@@ -908,7 +915,7 @@ class TestReconstructOptions:
         (None, "-3", "DISPERSIONLESS_SEED must be non-negative, got '-3'"),
     ], ids=["flag", "env"])
     def test_negative_seed_refused(self, capsys, monkeypatch, seed_arg, seed_env, message, fmt):
-        monkeypatch.setattr(cli, "hermitian_basis", _reached)
+        monkeypatch.setattr(cli, "_reconstruct", _reached)
         if seed_env is None:
             monkeypatch.delenv("DISPERSIONLESS_SEED", raising=False)
         else:
@@ -986,6 +993,133 @@ class TestHvDemoRows:
         expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
         assert cli._hv_demo_json(report) == expected
         assert '"pairs": []' in expected
+
+
+def random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = g @ g.conj().T
+    return u / np.trace(u).real
+
+
+class TestReconstructTranscript:
+    """The transcript holds reconstruction's own basis values, built only for JSON."""
+
+    def test_each_basis_element_evaluated_once(self, capsys, monkeypatch):
+        inner = trace_functional(HermitianOperator(random_density(3, 4)))
+        calls = []
+
+        def evaluate_stack(stack):
+            calls.extend(m.tobytes() for m in stack)
+            return inner.values(stack)
+
+        counting = ExpectationFunctional(3, evaluate_stack=evaluate_stack)
+        monkeypatch.setattr(cli, "functional_from_spec", lambda spec, dim: (counting, spec))
+        code, out, _ = run(capsys, "reconstruct", "--functional", "counted", "--seed", "3",
+                           "--trials", "5", "--format", "json")
+        assert code == 0
+        cli_calls = calls[:]
+        calls.clear()
+        reconstruct_density(counting, probe_count=5, seed=3)
+        # the basis once, then f(I), the identity probe, the triple and 5 random probes
+        basis = hermitian_basis(3)
+        assert cli_calls == calls
+        assert calls[:9] == [op.matrix.tobytes() for op in basis]
+        assert len(calls) == 9 + 1 + 1 + 3 + 5
+        transcript = json.loads(out)["transcript"]
+        assert [row["probe"] for row in transcript] == [matrix_to_json(op.matrix) for op in basis]
+        assert [row["value"] for row in transcript] == [inner(op) for op in basis]
+
+    def test_text_renders_no_probe(self, capsys, monkeypatch, tmp_path):
+        path = write_density(tmp_path, random_density(4, 5))
+        for name in ("matrix_to_json", "matrices_to_json", "_basis_bands"):
+            monkeypatch.setattr(cli, name, _reached)
+        code, out, err = run(capsys, "reconstruct", "--functional", f"trace:@{path}")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"functional trace:@{path} is normalized")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_normalization_violation_keeps_the_whole_transcript(self, capsys, tmp_path, fmt):
+        u = 2 * random_density(3, 6)
+        path = write_density(tmp_path, u)
+        code, out, _ = run(capsys, "reconstruct", "--functional", f"trace:@{path}",
+                           "--format", fmt)
+        assert code == 1
+        if fmt == "text":
+            assert "value on the identity is" in out
+            return
+        data = json.loads(out)
+        assert data["verdict"]["kind"] == "a-prime-violation"
+        assert data["verdict"]["trace"] == pytest.approx(2.0)
+        values = [np.trace(u @ op.matrix).real for op in hermitian_basis(3)]
+        assert len(data["transcript"]) == 9
+        assert [row["value"] for row in data["transcript"]] == pytest.approx(values, abs=1e-12)
+
+
+JSON_TEXT = st.text(st.sampled_from([",", " ", "[", "]", '"', "\n", "\\", "{", "}", "%", ":",
+                                     "a", "é", "λ", "\u2028", "\x00"]), max_size=6)
+JSON_SCALARS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 10**400, -(10**30)])
+    | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
+)
+NUMERIC_ARRAYS = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner),
+    max_leaves=24,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | JSON_TEXT | NUMERIC_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """_dumps writes the bytes json.dumps(..., indent=2, sort_keys=True) writes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+    def test_equals_stdlib(self, payload):
+        assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [
+        [[1, 2], [3]], [[1], [[2]], [3]], [[1, [2]], [3, 4]], [[1], []], [[[1]], [2]],
+        [0, [[1]]], [[1.5, -0.0], (2, 3)], [[1, "a, b"]], [[1, {}]], [[[1, 2], [3, 4]]], [],
+    ], ids=repr)
+    def test_arrays_of_mixed_depth(self, payload):
+        assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+BIG = "9" * 401
+
+
+class TestOversizedIntegers:
+    """A JSON integer beyond the float range is refused like an infinite entry."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv, error, message", [
+        (("spectrum", "--expr", "@{m}"), "ExprEvalError", "matrix entries must be finite"),
+        (("dispersion-witness", "--density", "@{m}"), "ValidationError",
+         "matrix entries must be finite"),
+        (("reconstruct", "--functional", "trace:@{m}"), "ValidationError",
+         "matrix entries must be finite"),
+        (("hv-demo", "--phi", "@{s}", "--a", "SX", "--b", "SY"), "CliInputError",
+         "state vector entries must be finite"),
+    ], ids=["spectrum", "witness", "reconstruct", "hv-demo"])
+    def test_refused(self, capsys, tmp_path, argv, error, message, fmt):
+        paths = {"m": tmp_path / "m.json", "s": tmp_path / "s.json"}
+        paths["m"].write_text(f'{{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [-{BIG}, 0]]]}}')
+        paths["s"].write_text(f"[[1, 0], [0, {BIG}]]")
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv), "--format", fmt)
+        assert code == 2
+        if fmt == "text":
+            assert out == "" and message in err
+            return
+        assert err == ""
+        data = json.loads(out)
+        assert (data["passed"], data["error"]["type"]) == (False, error)
+        assert message in data["error"]["message"]
 
 
 class TestDeterminism:

@@ -415,3 +415,30 @@ class TestMatrixJson:
     def test_rejects_non_object(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1, 0]])
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[[True, 0]]], "JSON [re, im] parts must be real numbers"),
+        ([[[1.0, "0"]]], "JSON [re, im] parts must be real numbers"),
+        ([[[1, 0, 0]]], "JSON entries must be [re, im] pairs"),
+        ([["ab"]], "JSON entries must be [re, im] pairs"),
+        ([[None]], "JSON entries must be [re, im] pairs"),
+        ([[(1, 0, 0)]], "JSON entries must be [re, im] pairs"),
+        ([[[1, 0]], [[0, 0], [1, 0]]], "matrix JSON rows must each have exactly 'dim' cells"),
+        # the first failing cell in row-major order names the fault, and a
+        # ragged row is found before any cell
+        ([[[1, 0, 0], [True, 0]], [[0, 0], [1, 0]]], "JSON entries must be [re, im] pairs"),
+        ([[[1, 0], [True, 0]], [[0, 0], [1, 0, 0]]], "JSON [re, im] parts must be real numbers"),
+        ([[[True, 0], [0, 0]], [[0, 0]]], "matrix JSON rows must each have exactly 'dim' cells"),
+        ([[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]], "matrix entries must be finite"),
+        ([[[1, 0], [0, 0]], [[0, 0], [math.inf, 0]]], "matrix entries must be finite"),
+    ])
+    def test_refusal_messages(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            matrix_from_json({"dim": len(entries), "entries": entries})
+        assert str(exc.value) == message
+
+    def test_tuple_cells_read_as_lists(self):
+        cells = [[(0.5, -0.0), (0, 2**60)], ((0, -(2**60)), [0.5, 0.0])]
+        got = matrix_from_json({"dim": 2, "entries": cells})
+        expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in cells])
+        assert got.tobytes() == expected.tobytes()
