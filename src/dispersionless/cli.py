@@ -218,13 +218,13 @@ def _emit(output_format: str, payload: dict, lines: list[str]):
             print(line)
 
 
+def _error_payload(command: str, exc: Exception) -> dict:
+    return _payload(command, passed=False, error={"type": type(exc).__name__, "message": str(exc)})
+
+
 def _emit_error(output_format: str, command: str, exc: Exception, code: int) -> int:
     if output_format == "json":
-        print(_dumps(_payload(
-            command,
-            passed=False,
-            error={"type": type(exc).__name__, "message": str(exc)},
-        )))
+        print(_dumps(_error_payload(command, exc)))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code
@@ -234,11 +234,11 @@ def _fmt(value: float) -> str:
     return f"{value:.8f}"
 
 
-def _matrix_lines(matrix, indent: str = "  ") -> list[str]:
+def _matrix_lines(matrix) -> list[str]:
     lines = []
     for row in matrix:
         cells = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-        lines.append(f"{indent}[{cells}]")
+        lines.append(f"  [{cells}]")
     return lines
 
 
@@ -323,13 +323,8 @@ def cmd_verify_appendix1(args) -> int:
     _emit(args.output_format, _payload(
         "verify-appendix1",
         passed=report.passed,
-        steps=[{
-            "name": s.name,
-            "description": s.description,
-            "computed": s.computed,
-            "expected": s.expected,
-            "passed": s.passed,
-        } for s in report.steps],
+        # a ChainStep's fields; dataclasses.asdict would deep-copy each one
+        steps=[dict(vars(s)) for s in report.steps],
     ), lines)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -379,11 +374,8 @@ def cmd_dispersion_witness(args) -> int:
     try:
         witness, value = dispersion_witness(density)
     except ValidationError as exc:
-        _emit(args.output_format, _payload(
-            "dispersion-witness",
-            passed=False,
-            error={"type": type(exc).__name__, "message": str(exc)},
-        ), [f"no witness: {exc}"])
+        _emit(args.output_format, _error_payload("dispersion-witness", exc),
+              [f"no witness: {exc}"])
         return EXIT_FAIL
     lines = [
         f"dispersion {_fmt(value)} > 0 for the witness operator:",

@@ -20,9 +20,9 @@ import numpy as np
 
 from .operator_core import (
     HermitianOperator,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     Spectrum,
     ValidationError,
     _require_tol,
@@ -122,14 +122,10 @@ class PureState:
 
     __slots__ = ("_vector",)
 
-    _LABELS = {
-        "z+": (1, 0, 0, 0),
-        "z-": (0, 0, 1, 0),
-        "x+": (1, 0, 1, 0),
-        "x-": (1, 0, -1, 0),
-        "y+": (1, 0, 0, 1),
-        "y-": (1, 0, 0, -1),
-    }
+    # amplitudes before normalization; y-'s second one is 0 - 1j, since the
+    # literal -1j has real part -0.0, which the JSON state would print
+    _LABELS = {"z+": (1, 0), "z-": (0, 1), "x+": (1, 1), "x-": (1, -1),
+               "y+": (1, 1j), "y-": (1, 0 - 1j)}
 
     def __init__(self, vector):
         try:
@@ -149,7 +145,14 @@ class PureState:
     @classmethod
     def normalized(cls, vector) -> "PureState":
         v = np.array(vector, dtype=np.complex128)
-        nrm = np.linalg.norm(v)
+        if not np.isfinite(v).all():
+            raise ValidationError("state vector entries must be finite")
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not 0.0 < nrm < math.inf:
+            # the squares left the float range: divide by the largest part first
+            v /= np.abs([v.real, v.imag]).max(initial=0.0) or 1.0
+            nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(v / nrm)
@@ -157,13 +160,11 @@ class PureState:
     @classmethod
     def from_label(cls, label: str) -> "PureState":
         """Cardinal qubit states: z+, z-, x+, x-, y+, y-."""
-        try:
-            a_re, a_im, b_re, b_im = cls._LABELS[label]
-        except KeyError:
+        if label not in cls._LABELS:
             raise ValidationError(
                 f"unknown state label {label!r}; expected one of {sorted(cls._LABELS)}"
-            ) from None
-        return cls.normalized([complex(a_re, a_im), complex(b_re, b_im)])
+            )
+        return cls.normalized(cls._LABELS[label])
 
     @property
     def vector(self) -> np.ndarray:
@@ -180,13 +181,21 @@ class PureState:
         """Pauli expectation 3-vector; qubit states only."""
         if self.dim != 2:
             raise ValidationError("Bloch vectors are defined for dimension 2 only")
-        v = self._vector
-        return np.array([
-            float(np.vdot(v, s @ v).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ])
+        return _pure_state_values(self._vector, PAULIS)
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
+
+
+def _require_density(op: HermitianOperator, spec: Spectrum, negative, off_trace):
+    # the density-matrix rule, in the caller's errors: raise negative(low) if the
+    # lowest eigenvalue is below -DM_TOL, off_trace(tr) if the trace is off 1 by more
+    low = float(spec.eigenvalues.min())
+    if low < -DM_TOL:
+        raise negative(low)
+    tr = op.trace()
+    if abs(tr - 1.0) > DM_TOL:
+        raise off_trace(tr)
 
 
 class DensityMatrix:
@@ -197,12 +206,11 @@ class DensityMatrix:
     def __init__(self, operator):
         op = as_hermitian(operator)
         spec = eigendecompose(op)
-        low = float(spec.eigenvalues.min())
-        if low < -DM_TOL:
-            raise ValidationError(f"density matrix has negative eigenvalue {low!r}")
-        tr = op.trace()
-        if abs(tr - 1.0) > DM_TOL:
-            raise ValidationError(f"density matrix has trace {tr!r}, not 1")
+        _require_density(
+            op, spec,
+            lambda low: ValidationError(f"density matrix has negative eigenvalue {low!r}"),
+            lambda tr: ValidationError(f"density matrix has trace {tr!r}, not 1"),
+        )
         self._op = op
         self._spectrum = spec
 
@@ -258,15 +266,14 @@ class ExpectationFunctional:
     evaluates one operator as a band of one.
     """
 
-    __slots__ = ("dim", "label", "_evaluate_stack")
+    __slots__ = ("dim", "_evaluate_stack")
 
-    def __init__(self, dim: int, evaluate=None, label: str = "", evaluate_stack=None):
+    def __init__(self, dim: int, evaluate=None, evaluate_stack=None):
         if dim < 1:
             raise ValidationError("functional dimension must be at least 1")
         if (evaluate is None) == (evaluate_stack is None):
             raise ValidationError("a functional needs evaluate or evaluate_stack, not both")
         self.dim = int(dim)
-        self.label = label
         if evaluate is not None:
             def evaluate_stack(stack):
                 return [float(evaluate(HermitianOperator(m))) for m in stack]
@@ -290,7 +297,7 @@ class ExpectationFunctional:
         return np.asarray(self._evaluate_stack(stack), dtype=np.float64)
 
     def __repr__(self):
-        return f"ExpectationFunctional({self.label or 'anonymous'}, dim={self.dim})"
+        return f"ExpectationFunctional(dim={self.dim})"
 
 
 def pure_state_expectation(phi: PureState, op) -> float:
@@ -307,45 +314,41 @@ def pure_state_expectation(phi: PureState, op) -> float:
     return float(np.vdot(phi.vector, op.matrix @ phi.vector).real)
 
 
-def trace_functional(u, label: str = "") -> ExpectationFunctional:
+def trace_functional(u) -> ExpectationFunctional:
     """Trace-form functional against a fixed Hermitian operator.
 
     Accepts any Hermitian operator, not just valid density matrices, so
     that defective linear functionals can be probed too.
     """
     op = u.operator if isinstance(u, DensityMatrix) else as_hermitian(u)
-    return _trace_form(op.matrix, label)
+    return _trace_form(op.matrix)
 
 
-def _trace_form(u: np.ndarray, label: str = "") -> ExpectationFunctional:
+def _trace_form(u: np.ndarray) -> ExpectationFunctional:
     # the trace form of a matrix taken as it is, unchecked
     flat = u.ravel()
     return ExpectationFunctional(
         len(u),
-        label=label or "trace-form",
         # per flattened slice r, vecdot(r, u) = sum conj(r_ij) u_ij = tr(u r)
         # for Hermitian r, in O(d^2)
         evaluate_stack=lambda stack: np.vecdot(stack.reshape(len(stack), -1), flat).real,
     )
 
 
+def _pure_state_values(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # <v|r|v> for each slice r of a Hermitian (k, d, d) band, unchecked
+    return np.vecdot(v, stack @ v).real
+
+
 def pure_state_functional(phi: PureState) -> ExpectationFunctional:
     """<phi|r|phi> per operator r, the value pure_state_expectation gives."""
-    v = phi.vector
     return ExpectationFunctional(
-        phi.dim,
-        label="pure-state",
-        evaluate_stack=lambda stack: np.vecdot(v, stack @ v).real,
-    )
+        phi.dim, evaluate_stack=functools.partial(_pure_state_values, phi.vector))
 
 
 def max_eigenvalue_functional(dim: int) -> ExpectationFunctional:
     """The canonical nonlinear counterexample: top of the spectrum."""
-    return ExpectationFunctional(
-        dim,
-        label="max-eigenvalue",
-        evaluate_stack=_top_eigenvalues,
-    )
+    return ExpectationFunctional(dim, evaluate_stack=_top_eigenvalues)
 
 
 def _top_eigenvalues(stack):
@@ -494,12 +497,7 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
 
         u_op = HermitianOperator(u)
         spec = eigendecompose(u_op)
-        low = float(spec.eigenvalues.min())
-        if low < -DM_TOL:
-            raise PositivityViolation(low)
-        tr = u_op.trace()
-        if abs(tr - 1.0) > DM_TOL:
-            raise NormalizationViolation(tr)
+        _require_density(u_op, spec, PositivityViolation, NormalizationViolation)
     except FunctionalViolation as exc:
         exc.values = values
         raise

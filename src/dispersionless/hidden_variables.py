@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation_functionals import ExpectationFunctional, PureState, pure_state_expectation
+from .expectation_functionals import ExpectationFunctional, PureState, _pure_state_values
 from .operator_core import ValidationError, as_hermitian
 
 LAMBDA_MIN = -0.5
@@ -50,11 +50,12 @@ def _lambdas(x) -> np.ndarray:
     return lams
 
 
-def _require_qubit(dim: int):
-    if dim != 2:
-        raise UnsupportedDimensionError(
-            f"the subensemble model is qubit-only; got dimension {dim}"
-        )
+def _require_qubit(*dims: int):
+    for dim in dims:
+        if dim != 2:
+            raise UnsupportedDimensionError(
+                f"the subensemble model is qubit-only; got dimension {dim}"
+            )
 
 
 # a 2x2 complex matrix read as 8 floats holds (re, im) of m00, m01, m10, m11;
@@ -122,8 +123,7 @@ def assign_value(phi: PureState, lam, r) -> float:
     return their scale.
     """
     r = as_hermitian(r)
-    _require_qubit(r.dim)
-    _require_qubit(phi.dim)
+    _require_qubit(r.dim, phi.dim)
     return float(_outcomes(phi.bloch(), _lambdas(lam), r.matrix[None])[0][0])
 
 
@@ -134,8 +134,7 @@ def average_over_lambda(phi: PureState, r) -> float:
     involved.
     """
     r = as_hermitian(r)
-    _require_qubit(r.dim)
-    _require_qubit(phi.dim)
+    _require_qubit(r.dim, phi.dim)
     # the average does not depend on the lambda passed
     return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), r.matrix[None])[1][0])
 
@@ -151,11 +150,7 @@ def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
     _require_qubit(phi.dim)
     lam = _lambdas(lam)
     bloch = phi.bloch()
-    return ExpectationFunctional(
-        2,
-        label=f"subensemble(lambda={float(lam)})",
-        evaluate_stack=lambda stack: _outcomes(bloch, lam, stack)[0],
-    )
+    return ExpectationFunctional(2, evaluate_stack=lambda stack: _outcomes(bloch, lam, stack)[0])
 
 
 def lambda_grid(size: int) -> np.ndarray:
@@ -257,28 +252,14 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    _require_qubit(r.dim)
-    _require_qubit(s.dim)
-    _require_qubit(phi.dim)
+    _require_qubit(r.dim, s.dim, phi.dim)
     lams = _lambdas(lambdas)
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
-    combined = r + s
-    values, averages = _outcomes(
-        phi.bloch(), lams, np.array([r.matrix, s.matrix, combined.matrix])
-    )
-    vr, vs, vsum = values
-    avg_r, avg_s, avg_sum = averages.tolist()
-    return SubensembleReport(
-        phi=phi,
-        lambdas=lams,
-        values_r=vr,
-        values_s=vs,
-        values_sum=vsum,
-        average_r=avg_r,
-        average_s=avg_s,
-        average_sum=avg_sum,
-        quantum_r=pure_state_expectation(phi, r),
-        quantum_s=pure_state_expectation(phi, s),
-        quantum_sum=pure_state_expectation(phi, combined),
-    )
+    stack = np.array([r.matrix, s.matrix, (r + s).matrix])
+    values, averages = _outcomes(phi.bloch(), lams, stack)
+    # the band is Hermitian: r, s and their sum were each checked
+    quantum = _pure_state_values(phi.vector, stack)
+    # the report's fields, in order: the columns, then the averages and the
+    # quantum values of r, s and r + s
+    return SubensembleReport(phi, lams, *values, *averages.tolist(), *quantum.tolist())

@@ -74,15 +74,27 @@ def _require_hermitian(m: np.ndarray):
     """Raise unless every trailing square matrix of m is Hermitian.
 
     The rule is |m - m*| <= HERM_TOL * max(1, |m|), compared in squares,
-    with |m| taken only when the deviation exceeds HERM_TOL; the error
+    with |m| taken only when the deviation exceeds HERM_TOL, and on each
+    matrix scaled by a power of two when a square overflows; the error
     names the deviation of the first matrix that breaks it.
     """
     squared = _squared_norms(m - m.conj().swapaxes(-1, -2))
     broken = squared > HERM_TOL**2
     if _any(broken):
-        broken &= squared > HERM_TOL**2 * _squared_norms(m)
+        norms = _squared_norms(m)
+        scale = np.ones(np.shape(norms))
+        if not (np.isfinite(squared).all() and np.isfinite(norms).all()):
+            # a square left the float range: decide on each matrix scaled by the
+            # power of two that brings its largest part below 1, an exact scaling
+            parts = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+            scale = np.ldexp(1.0, -np.frexp(parts)[1])
+            scaled = m * scale[..., None, None]
+            squared = _squared_norms(scaled - scaled.conj().swapaxes(-1, -2))
+            norms = _squared_norms(scaled)
+        broken &= squared > HERM_TOL**2 * norms
         if _any(broken):
-            deviation = math.sqrt(np.reshape(squared, -1)[np.argmax(broken)])
+            first = np.argmax(broken)
+            deviation = math.sqrt(np.reshape(squared, -1)[first]) / np.reshape(scale, -1)[first]
             raise ValidationError(f"matrix is not Hermitian (deviation {deviation:.3e})")
 
 
@@ -96,12 +108,11 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-for _p in PAULIS:
-    _p.flags.writeable = False
+# the Pauli matrices as one read-only (3, 2, 2) band; each is a slice of it
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=np.complex128)
+PAULIS.flags.writeable = False
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
 
 class HermitianOperator:

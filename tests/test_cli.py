@@ -1122,6 +1122,56 @@ class TestOversizedIntegers:
         assert message in data["error"]["message"]
 
 
+class TestExtremeScales:
+    """State and matrix files whose squares leave the float range."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("text", ["[[Infinity, 0], [0, 0]]", "[[NaN, 0], [1, 0]]"],
+                             ids=["infinity", "nan"])
+    def test_non_finite_state_refused(self, capsys, tmp_path, text, fmt):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "hv-demo", "--phi", f"@{path}", "--a", "SX", "--b", "SY",
+                             "--format", fmt)
+        assert code == 2
+        assert_refused(fmt, out, err, "hv-demo", "state vector entries must be finite")
+        if fmt == "text":
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("part", ["1e200", "1e-200"])
+    def test_scaled_copies_of_x_plus(self, capsys, tmp_path, part, fmt):
+        path = tmp_path / "s.json"
+        path.write_text(f"[[{part}, 0], [{part}, 0]]")
+        argv = ["--a", "SX + 0.5*SZ", "--b", "SY", "--lambda-grid-size", "9", "--format", fmt]
+        code, out, err = run(capsys, "hv-demo", "--phi", f"@{path}", *argv)
+        assert (code, err) == (0, "")
+        expected = run(capsys, "hv-demo", "--phi", "x+", *argv)
+        assert out == expected[1].replace("phi=x+", f"phi=@{path}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("diagonal", [0, 1e200])
+    def test_non_hermitian_matrix_refused(self, capsys, tmp_path, diagonal, fmt):
+        # 1e200 at (0, 1) only: |m - m*|^2 and |m|^2 both overflow
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[[diagonal, 0], [1e200, 0]],
+                                                          [[0, 0], [diagonal, 0]]]}))
+        code, out, err = run(capsys, "spectrum", "--expr", f"@{path}", "--format", fmt)
+        assert code == 2
+        if fmt == "text":
+            assert out == "" and "matrix is not Hermitian" in err
+            return
+        assert err == ""
+        data = json.loads(out)
+        assert (data["passed"], data["error"]["type"]) == (False, "ExprEvalError")
+        assert "matrix is not Hermitian (deviation 1.414e+200)" in data["error"]["message"]
+
+    def test_large_hermitian_matrix_kept(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--expr", "1e200*SX", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eigenvalues"] == [-1e200, 1e200]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("hv-demo", "--phi", "z+", "--a", "SX", "--b", "SY", "--format", "json"),

@@ -65,9 +65,30 @@ class TestPureState:
             PureState.from_label("w+")
 
     def test_bloch_vectors(self):
-        np.testing.assert_allclose(PureState.from_label("z+").bloch(), [0, 0, 1], atol=1e-15)
-        np.testing.assert_allclose(PureState.from_label("x-").bloch(), [-1, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(PureState.from_label("y+").bloch(), [0, 1, 0], atol=1e-15)
+        for label, bloch in [("z+", [0, 0, 1]), ("z-", [0, 0, -1]), ("x+", [1, 0, 0]),
+                             ("x-", [-1, 0, 0]), ("y+", [0, 1, 0]), ("y-", [0, -1, 0])]:
+            np.testing.assert_allclose(PureState.from_label(label).bloch(), bloch, atol=1e-15,
+                                       err_msg=label)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e308])
+    def test_normalized_outside_the_unit_scale(self, scale):
+        # the squares of these entries leave the float range; the state is x+
+        phi = PureState.normalized([scale, scale])
+        assert phi.vector.tobytes() == PureState.from_label("x+").vector.tobytes()
+
+    @pytest.mark.parametrize("entries", [[math.inf, 0], [math.nan, 1], [1, complex(0, math.inf)]])
+    def test_normalized_refuses_non_finite_entries(self, entries):
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            PureState.normalized(entries)
+
+    def test_normalized_keeps_the_plain_norm_in_range(self):
+        rng = RNG(5)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            v = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            expected = v / np.linalg.norm(v)
+            assert PureState.normalized(v).vector.tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError, match="zero vector"):
+            PureState.normalized([0.0, 0.0])
 
     def test_bloch_requires_dim2(self):
         with pytest.raises(ValidationError):
@@ -82,6 +103,24 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(np.diag([0.7, 0.7]))
+
+    @pytest.mark.parametrize("diagonal, message, violation, field, value", [
+        ([1.5, -0.5], "density matrix has negative eigenvalue -0.5", PositivityViolation,
+         "eigenvalue", -0.5),
+        ([1.0, 1.0], "density matrix has trace 2.0, not 1", NormalizationViolation,
+         "value", 2.0),
+    ], ids=["indefinite", "trace-2"])
+    def test_one_rule_at_both_sites(self, diagonal, message, violation, field, value):
+        # the density-matrix rule refuses the same matrices when they are given
+        # as a density and when reconstruction assembles them, each site with
+        # its own error; lin_tol admits f(I) = 2, so the rule decides
+        with pytest.raises(ValidationError) as given:
+            DensityMatrix(np.diag(diagonal))
+        assert str(given.value) == message
+        f = trace_functional(HermitianOperator(np.diag(diagonal)))
+        with pytest.raises(violation, match="violates A'") as assembled:
+            reconstruct_density(f, lin_tol=1.5)
+        assert getattr(assembled.value, field) == value
 
     def test_random_is_valid(self):
         rng = RNG(1)
@@ -376,21 +415,23 @@ class TestTraceFormValue:
 def _stack_functionals(dim, rng):
     """The three built-ins given by a stack formula, on random data.
 
-    Each comes with the one-operator formula of the same value: tr(u r) as
-    vdot, pure_state_expectation, and the top of eigendecompose.
+    Each comes under its name with the one-operator formula of the same
+    value: tr(u r) as vdot, pure_state_expectation, and the top of
+    eigendecompose.
     """
     rho = DensityMatrix.random(dim, rng)
     phi = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return [
-        (trace_functional(rho), lambda r: float(np.vdot(r.matrix, rho.matrix).real)),
-        (pure_state_functional(phi), lambda r: pure_state_expectation(phi, r)),
-        (max_eigenvalue_functional(dim), lambda r: float(eigendecompose(r).eigenvalues[-1])),
-    ]
+    return {
+        "trace": (trace_functional(rho), lambda r: float(np.vdot(r.matrix, rho.matrix).real)),
+        "pure": (pure_state_functional(phi), lambda r: pure_state_expectation(phi, r)),
+        "maxeig": (max_eigenvalue_functional(dim),
+                   lambda r: float(eigendecompose(r).eigenvalues[-1])),
+    }
 
 
 def _black_box(f):
     # the same functional, evaluated one operator at a time
-    return ExpectationFunctional(f.dim, f, label=f.label)
+    return ExpectationFunctional(f.dim, f)
 
 
 def _outcome(f, **kwargs):
@@ -411,24 +452,24 @@ class TestStackEvaluation:
         rng = RNG(90 + dim)
         basis = np.array([op.matrix for op in hermitian_basis(dim)])
         probes = random_hermitian_stack(dim, rng, 8)
-        for f, one_operator in _stack_functionals(dim, rng):
+        for name, (f, one_operator) in _stack_functionals(dim, rng).items():
             for stack in (basis, probes):
                 expected = [one_operator(HermitianOperator(m)) for m in stack]
-                assert f.values(stack).tolist() == expected, f.label
-                assert [f(HermitianOperator(m)) for m in stack] == expected, f.label
+                assert f.values(stack).tolist() == expected, name
+                assert [f(HermitianOperator(m)) for m in stack] == expected, name
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
     def test_reconstruction_equals_black_box(self, dim):
         rng = RNG(100 + dim)
-        for f, _ in _stack_functionals(dim, rng):
+        for name, (f, _) in _stack_functionals(dim, rng).items():
             for kwargs in ({}, {"probe_count": 5, "seed": 3, "lin_tol": 1e-15}):
-                assert _outcome(f, **kwargs) == _outcome(_black_box(f), **kwargs), f.label
+                assert _outcome(f, **kwargs) == _outcome(_black_box(f), **kwargs), name
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
     def test_linearity_report_equals_black_box(self, dim):
         rng = RNG(110 + dim)
-        for f, _ in _stack_functionals(dim, rng):
-            assert check_linearity(f, 5, 7) == check_linearity(_black_box(f), 5, 7), f.label
+        for name, (f, _) in _stack_functionals(dim, rng).items():
+            assert check_linearity(f, 5, 7) == check_linearity(_black_box(f), 5, 7), name
 
     def test_a_functional_needs_a_formula(self):
         with pytest.raises(ValidationError, match="evaluate or evaluate_stack"):

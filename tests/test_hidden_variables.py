@@ -320,6 +320,21 @@ class TestAdditivityReport:
         assert abs(report.average_s - report.quantum_s) <= 1e-12
         assert abs(report.average_sum - report.quantum_sum) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_quantum_values_are_pure_state_expectations(self, scale):
+        # <phi|X|phi> for X = R, S, R + S, against the one-operator formula,
+        # within a few ulps of the size of X
+        rng = RNG(int(1300 + math.log10(scale)))
+        ulp = np.finfo(np.float64).eps
+        for _ in range(200):
+            phi = random_qubit_state(rng)
+            r = random_hermitian(2, rng) * float(scale * rng.uniform(0.1, 10))
+            s = random_hermitian(2, rng) * float(scale * rng.uniform(0.1, 10))
+            report = additivity_violation_report(phi, r, s, [0.0])
+            for value, op in ((report.quantum_r, r), (report.quantum_s, s),
+                              (report.quantum_sum, r + s)):
+                assert abs(value - pure_state_expectation(phi, op)) <= 4 * ulp * op.norm()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_match_pointwise_assignment(self, seed):
         # the per-point loop is the reference for the array evaluation
@@ -513,4 +528,4 @@ class TestSubensembleFunctional:
     def test_value_assignment_is_callable(self):
         f = subensemble_functional(Z_PLUS, 0.25)
         assert f(HermitianOperator(SIGMA_Z)) == 1.0
-        assert f.label == "subensemble(lambda=0.25)"
+        assert repr(f) == "ExpectationFunctional(dim=2)"

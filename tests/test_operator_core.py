@@ -6,6 +6,7 @@ sums tr(A^k) and matrix polynomials).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,43 @@ class TestValidation:
         else:
             assert HermitianOperator(m).dim == 3
             assert as_hermitian_stack(band) is band
+
+    @pytest.mark.parametrize("bad", [
+        [[0, 1e200], [0, 0]],
+        [[1e200, 1e200], [0, 1e200]],
+        [[0, 1e300j], [1e300j, 0]],
+    ], ids=["off-diagonal", "diagonal-too", "imaginary"])
+    def test_non_hermitian_refused_when_squares_overflow(self, bad):
+        # |m - m*|^2 and |m|^2 overflow to inf; the rule is decided on m scaled
+        # by a power of two and the deviation is reported in the original units
+        with pytest.raises(ValidationError, match="not Hermitian") as exc:
+            HermitianOperator(bad)
+        m = np.array(bad, dtype=complex)
+        deviation = float(re.search(r"deviation (\S+)\)", str(exc.value)).group(1))
+        expected = 2.0**600 * np.linalg.norm((m - m.conj().T) / 2.0**600)
+        assert abs(deviation - expected) <= 1e-3 * expected
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_relative_rule_when_squares_overflow(self, scale):
+        # a relative defect of 1e-13 is forgiven and one of 1e-9 is not, at
+        # scales where |m|^2 is past the float range
+        h = (SIGMA_X + 0.5 * SIGMA_Z) / 2
+        defect = np.array([[0, 1], [0, 0]], dtype=complex)
+        m = scale * (h + 1e-13 * defect)
+        assert np.array_equal(HermitianOperator(m).matrix, m)
+        assert HermitianOperator(scale * SIGMA_Y).matrix[0, 1] == -1j * scale
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianOperator(scale * (h + 1e-9 * defect))
+
+    def test_band_decided_per_matrix_when_squares_overflow(self):
+        # one matrix's squares overflow; the others keep their own scale, so a
+        # unit-scale defect is still found and a 1e-11 one is still forgiven
+        big = 1e200 * SIGMA_X
+        tiny_defect = np.array([[0, 1e-11], [0, 0]], dtype=complex)
+        with np.errstate(over="ignore"):
+            assert as_hermitian_stack(np.stack([big, tiny_defect])) is not None
+            with pytest.raises(ValidationError, match=r"deviation 1\.414e-01"):
+                as_hermitian_stack(np.stack([big, SIGMA_Z + [[0, 0.1], [0, 0]]]))
 
     @pytest.mark.parametrize("bad", [
         [[0, 1], [0, 0]],
