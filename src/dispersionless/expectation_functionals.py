@@ -12,7 +12,6 @@ dimension two or more.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .operator_core import (
     eigendecompose,
     identity,
     matrix_to_json,
-    random_hermitian,
     random_hermitian_stack,
 )
 
@@ -147,12 +145,14 @@ class PureState:
         v = np.array(vector, dtype=np.complex128)
         if not np.isfinite(v).all():
             raise ValidationError("state vector entries must be finite")
-        with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(v)
-        if not 0.0 < nrm < math.inf:
-            # the squares left the float range: divide by the largest part first
-            v /= np.abs([v.real, v.imag]).max(initial=0.0) or 1.0
-            nrm = np.linalg.norm(v)
+        # the plain norm holds while the square of the largest part is a normal
+        # float and the 2 len squares cannot overflow; else divide by that part,
+        # as floats: numpy's complex division overflows on a subnormal divisor
+        big = np.abs([v.real, v.imag]).max(initial=0.0)
+        if not 2.0**-511 <= big <= 2.0**511 / math.sqrt(2 * v.size):
+            v.real /= big or 1.0
+            v.imag /= big or 1.0
+        nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(v / nrm)
@@ -523,28 +523,12 @@ class LinearityReport:
         return not self.commuting_max_deviation <= self.tol
 
 
-def _monotone_commuting_pair(dim, rng):
-    # both operators are increasing readouts of one generator, so any
-    # outcome-respecting functional treats them as jointly measured
-    t = random_hermitian(dim, rng)
-    spec = eigendecompose(t)
-    fvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
-    gvals = np.cumsum(rng.uniform(0.1, 1.0, size=dim)) + rng.uniform(-2, 0)
-    return spec.apply(lambda _: fvals).matrix, spec.apply(lambda _: gvals).matrix
-
-
-def _max_deviation(f, trials) -> float:
-    # the largest |f(a r + b s) - a f(r) - b f(s)| over an iterator of
-    # (r, s, a, b) trials, drawn one band of trials at a time
-    worst = 0.0
-    step = _band_length(f.dim)
-    while band := list(itertools.islice(trials, step)):
-        r, s, a, b = (np.array(column) for column in zip(*band))
-        combined = f.values(r * a[:, None, None] + s * b[:, None, None])
-        deviations = np.abs(combined - a * f.values(r) - b * f.values(s))
-        # np.max, unlike max, keeps a NaN deviation
-        worst = float(np.max(deviations, initial=worst))
-    return worst
+def _max_deviation(f, r, s, a, b) -> float:
+    # the largest |f(a r + b s) - a f(r) - b f(s)| over one band of trials:
+    # (k, d, d) operator bands r and s, length-k weight arrays a and b
+    combined = f.values(r * a[:, None, None] + s * b[:, None, None])
+    # np.max, unlike max, keeps a NaN deviation
+    return float(np.max(np.abs(combined - a * f.values(r) - b * f.values(s))))
 
 
 def check_linearity(
@@ -561,7 +545,9 @@ def check_linearity(
     functions of one shared generator, combined with non-negative weights:
     additivity over such jointly measurable combinations is exactly the
     weakened assumption that survives the counterexamples killing the
-    unrestricted form.  Raises ValidationError unless tol is finite and
+    unrestricted form.  After the witness pair, the trials are drawn and
+    evaluated a band at a time, as many per band as a reconstruction
+    probe band holds.  Raises ValidationError unless tol is finite and
     positive.
     """
     _require_tol("linearity tolerance", tol)
@@ -569,28 +555,29 @@ def check_linearity(
         raise ValidationError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     dim = f.dim
-
-    def unrestricted_trials():
-        probes = _canonical_band(dim)
-        if len(probes):
-            yield probes[0], probes[1], 1.0, 1.0
-        for _ in range(trials):
-            r, s = random_hermitian_stack(dim, rng, 2)
-            yield r, s, *rng.uniform(-2.0, 2.0, size=2)
-
-    def commuting_trials():
-        for _ in range(trials):
-            yield *_monotone_commuting_pair(dim, rng), *rng.uniform(0.0, 2.0, size=2)
-
-    unrestricted = _max_deviation(f, unrestricted_trials())
-    commuting = _max_deviation(f, commuting_trials())
+    unrestricted, commuting = [], []
+    if dim >= 2:
+        r, s = _canonical_band(dim)[:2, None]
+        unrestricted.append(_max_deviation(f, r, s, np.ones(1), np.ones(1)))
+    step = _band_length(dim)
+    for start in range(0, trials, step):
+        k = min(step, trials - start)
+        r, s = random_hermitian_stack(dim, rng, 2 * k).reshape(2, k, dim, dim)
+        unrestricted.append(_max_deviation(f, r, s, *rng.uniform(-2.0, 2.0, size=(2, k))))
+        # both readouts of a pair are increasing functions of one generator, so
+        # any outcome-respecting functional treats them as jointly measured
+        vectors = np.linalg.eigh(random_hermitian_stack(dim, rng, k))[1]
+        tables = np.cumsum(rng.uniform(0.1, 1.0, size=(2, k, 1, dim)), axis=-1)
+        tables += rng.uniform(-2.0, 0.0, size=(2, k, 1, 1))
+        r, s = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+        commuting.append(_max_deviation(f, r, s, *rng.uniform(0.0, 2.0, size=(2, k))))
 
     return LinearityReport(
         trials=trials,
         seed=seed,
         tol=tol,
-        unrestricted_max_deviation=float(unrestricted),
-        commuting_max_deviation=float(commuting),
+        unrestricted_max_deviation=float(np.max(unrestricted)),
+        commuting_max_deviation=float(np.max(commuting)),
     )
 
 

@@ -62,39 +62,40 @@ def _squared_norms(m: np.ndarray) -> np.ndarray:
     if m.ndim == 2:
         return np.vdot(m, m).real
     flat = m.reshape(m.shape[:-2] + (-1,))
-    return np.vecdot(flat, flat).real
+    # a square past the float range is inf here, as from vdot, which does not
+    # raise numpy's overflow flag; callers decide such a matrix on a scaled copy
+    with np.errstate(over="ignore"):
+        return np.vecdot(flat, flat).real
 
 
-def _any(flags) -> bool:
-    # .any() on the numpy bool of a single matrix costs a 0-d array round trip
-    return bool(flags) if flags.ndim == 0 else bool(flags.any())
+def _all(flags) -> bool:
+    # .all() on the numpy bool of a single matrix costs a 0-d array round trip
+    return bool(flags) if flags.ndim == 0 else bool(flags.all())
 
 
 def _require_hermitian(m: np.ndarray):
     """Raise unless every trailing square matrix of m is Hermitian.
 
     The rule is |m - m*| <= HERM_TOL * max(1, |m|), compared in squares,
-    with |m| taken only when the deviation exceeds HERM_TOL, and on each
-    matrix scaled by a power of two when a square overflows; the error
-    names the deviation of the first matrix that breaks it.
+    with |m| taken only when the deviation exceeds HERM_TOL (or is NaN, as
+    when it overflows), on each matrix scaled by the power of two that
+    keeps its squares in range; the error names the deviation of the first
+    matrix that breaks it.
     """
     squared = _squared_norms(m - m.conj().swapaxes(-1, -2))
-    broken = squared > HERM_TOL**2
-    if _any(broken):
-        norms = _squared_norms(m)
-        scale = np.ones(np.shape(norms))
-        if not (np.isfinite(squared).all() and np.isfinite(norms).all()):
-            # a square left the float range: decide on each matrix scaled by the
-            # power of two that brings its largest part below 1, an exact scaling
-            parts = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
-            scale = np.ldexp(1.0, -np.frexp(parts)[1])
-            scaled = m * scale[..., None, None]
-            squared = _squared_norms(scaled - scaled.conj().swapaxes(-1, -2))
-            norms = _squared_norms(scaled)
-        broken &= squared > HERM_TOL**2 * norms
-        if _any(broken):
+    ok = squared <= HERM_TOL**2
+    if not _all(ok):
+        # the power of two that brings each matrix's largest part below 1:
+        # an exact scaling, so a verdict on finite squares keeps its bits
+        parts = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+        scale = np.ldexp(1.0, -np.frexp(parts)[1])
+        scaled = m * scale[..., None, None]
+        squared = _squared_norms(scaled - scaled.conj().swapaxes(-1, -2))
+        broken = ~ok & (squared > HERM_TOL**2 * _squared_norms(scaled))
+        if broken.any():
             first = np.argmax(broken)
-            deviation = math.sqrt(np.reshape(squared, -1)[first]) / np.reshape(scale, -1)[first]
+            # in the matrix's own units, as a Python float: inf past the float range
+            deviation = math.sqrt(squared.flat[first]) / float(scale.flat[first])
             raise ValidationError(f"matrix is not Hermitian (deviation {deviation:.3e})")
 
 
@@ -188,9 +189,11 @@ def as_hermitian(op) -> HermitianOperator:
 def as_hermitian_stack(stack) -> np.ndarray:
     """Validate a (k, d, d) band of Hermitian matrices in one vectorized step.
 
-    Every slice meets the rules HermitianOperator applies to one matrix and
-    fails them with the same messages.  Returns the band as a complex128
-    array, without copying one that already is.
+    Every slice meets the finiteness and hermiticity rules HermitianOperator
+    applies to one matrix, and fails them with the same messages; a band
+    that cannot be coerced or has the wrong shape gets its own message.
+    Returns the band as a complex128 array, without copying one that
+    already is.
     """
     try:
         s = np.asarray(stack, dtype=np.complex128)

@@ -1139,7 +1139,7 @@ class TestExtremeScales:
             assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("part", ["1e200", "1e-200"])
+    @pytest.mark.parametrize("part", ["1e200", "1e-200", "1e-160"])
     def test_scaled_copies_of_x_plus(self, capsys, tmp_path, part, fmt):
         path = tmp_path / "s.json"
         path.write_text(f"[[{part}, 0], [{part}, 0]]")
@@ -1165,6 +1165,26 @@ class TestExtremeScales:
         data = json.loads(out)
         assert (data["passed"], data["error"]["type"]) == (False, "ExprEvalError")
         assert "matrix is not Hermitian (deviation 1.414e+200)" in data["error"]["message"]
+
+    # m - m* holds +-inf here, and numpy warns about that subtraction
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_hermitian_matrix_refused_when_its_deviation_overflows(self, capsys, tmp_path, fmt):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[[0, 0], [1.5e308, 0]],
+                                                          [[-1.5e308, 0], [0, 0]]]}))
+        code, out, err = run(capsys, "spectrum", "--expr", f"@{path}", "--format", fmt)
+        assert code == 2
+        message = err if fmt == "text" else json.loads(out)["error"]["message"]
+        assert "matrix is not Hermitian" in message
+
+    def test_large_hermitian_file_kept(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[[0, 0], [1.5e308, 0]],
+                                                          [[1.5e308, 0], [0, 0]]]}))
+        code, out, err = run(capsys, "spectrum", "--expr", f"@{path}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eigenvalues"] == [-1.5e308, 1.5e308]
 
     def test_large_hermitian_matrix_kept(self, capsys):
         code, out, err = run(capsys, "spectrum", "--expr", "1e200*SX", "--format", "json")

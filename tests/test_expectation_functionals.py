@@ -70,11 +70,17 @@ class TestPureState:
             np.testing.assert_allclose(PureState.from_label(label).bloch(), bloch, atol=1e-15,
                                        err_msg=label)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e308])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e200, 1e308])
     def test_normalized_outside_the_unit_scale(self, scale):
-        # the squares of these entries leave the float range; the state is x+
+        # the squares of these entries leave the normal float range (at 1e-160
+        # they are subnormal, with a plain norm off 1 by 5.6e-6); the state is x+
         phi = PureState.normalized([scale, scale])
         assert phi.vector.tobytes() == PureState.from_label("x+").vector.tobytes()
+
+    def test_normalized_with_a_subnormal_largest_part(self):
+        # 1 / 5e-324 overflows, so the vector must be divided, not multiplied
+        phi = PureState.normalized([5e-324, 0])
+        assert phi.vector.tobytes() == PureState.from_label("z+").vector.tobytes()
 
     @pytest.mark.parametrize("entries", [[math.inf, 0], [math.nan, 1], [1, complex(0, math.inf)]])
     def test_normalized_refuses_non_finite_entries(self, entries):
@@ -486,6 +492,11 @@ class TestStackEvaluation:
         band[1, 0, 1] = 1.0
         with pytest.raises(ValidationError, match="not Hermitian"):
             f.values(band)
+        # squares that overflow are decided without a numpy warning, which
+        # this suite turns into an error
+        band[1, 0, 1] = 1e200
+        with pytest.raises(ValidationError, match=r"not Hermitian \(deviation 1\.414e\+200\)"):
+            f.values(band)
 
 
 class TestCheckLinearity:
@@ -528,6 +539,70 @@ class TestCheckLinearity:
     def test_trials_validated(self):
         with pytest.raises(ValidationError):
             check_linearity(max_eigenvalue_functional(2), trials=0, seed=1)
+
+    @pytest.mark.parametrize("dim, trials", [(2, 1), (3, 6), (8, 130), (32, 17)])
+    def test_trials_are_the_documented_pairs(self, dim, trials):
+        f, bands = _recording(max_eigenvalue_functional(dim))
+        check_linearity(f, trials, seed=4)
+        # each band of trials reaches the functional as a r + b s, then r, then s
+        witness, *groups = [bands[i:i + 3] for i in range(0, len(bands), 3)]
+        assert [band.tobytes() for band in witness] == [
+            ef._canonical_band(dim)[i:i + 1].tobytes() for i in (2, 0, 1)]
+        counts = {"unrestricted": 0, "commuting": 0}
+        for combined, r, s in groups:
+            assert len(r) <= ef._band_length(dim)
+            if all(frobenius(x @ y - y @ x) <= 1e-12 * frobenius(x) * frobenius(y)
+                   for x, y in zip(r, s)):
+                kind, low = "commuting", 0.0
+                for x, y in zip(r, s):
+                    # both are increasing functions of one generator: in the
+                    # eigenbasis of x, y is diagonal and increasing too
+                    vectors = np.linalg.eigh(x)[1]
+                    y_in_x = vectors.conj().T @ y @ vectors
+                    assert np.all(np.diff(np.diag(y_in_x).real) > 0)
+            else:
+                kind, low = "unrestricted", -2.0
+                for band in (r, s):
+                    assert np.array_equal(band, band.conj().swapaxes(1, 2))
+            for c, x, y in zip(combined, r, s):
+                (a, b), *_ = np.linalg.lstsq(np.stack([x.ravel(), y.ravel()], axis=1), c.ravel())
+                assert abs(a.imag) <= 1e-12 and abs(b.imag) <= 1e-12
+                assert low <= a.real <= 2.0 and low <= b.real <= 2.0
+            counts[kind] += len(r)
+        assert counts == {"unrestricted": trials, "commuting": trials}
+
+    def test_dimension_one_has_no_witness(self):
+        # the top eigenvalue of a 1 x 1 matrix is its entry, additive over any pair
+        f, bands = _recording(max_eigenvalue_functional(1))
+        report = check_linearity(f, 5, seed=2)
+        assert not report.unrestricted_exceeds_tol and not report.commuting_exceeds_tol
+        assert [len(band) for band in bands] == [5] * 6
+
+    def test_seed_fixes_the_report(self):
+        for f in (max_eigenvalue_functional(3), _stack_functionals(3, RNG(8))["trace"][0]):
+            assert check_linearity(f, 9, seed=21) == check_linearity(f, 9, seed=21)
+
+    @pytest.mark.parametrize("trials", [7, 8, 9, 17])
+    def test_verdicts_across_bands_of_eight(self, trials):
+        # a 32 x 32 band holds 8 operators, so these counts end a band early,
+        # exactly, one past and two bands past
+        assert ef._band_length(32) == 8
+        trace = check_linearity(trace_functional(DensityMatrix.random(32, RNG(trials))),
+                                trials, seed=trials)
+        assert not trace.unrestricted_exceeds_tol and not trace.commuting_exceeds_tol
+        top = check_linearity(max_eigenvalue_functional(32), trials, seed=trials)
+        assert top.unrestricted_exceeds_tol and not top.commuting_exceeds_tol
+
+
+def _recording(f):
+    # f's own stack formula, also keeping a copy of every band handed to it
+    bands = []
+
+    def evaluate_stack(stack):
+        bands.append(stack.copy())
+        return f._evaluate_stack(stack)
+
+    return ExpectationFunctional(f.dim, evaluate_stack=evaluate_stack), bands
 
 
 class TestDispersion:

@@ -127,10 +127,9 @@ class TestValidation:
         # unit-scale defect is still found and a 1e-11 one is still forgiven
         big = 1e200 * SIGMA_X
         tiny_defect = np.array([[0, 1e-11], [0, 0]], dtype=complex)
-        with np.errstate(over="ignore"):
-            assert as_hermitian_stack(np.stack([big, tiny_defect])) is not None
-            with pytest.raises(ValidationError, match=r"deviation 1\.414e-01"):
-                as_hermitian_stack(np.stack([big, SIGMA_Z + [[0, 0.1], [0, 0]]]))
+        assert as_hermitian_stack(np.stack([big, tiny_defect])) is not None
+        with pytest.raises(ValidationError, match=r"deviation 1\.414e-01"):
+            as_hermitian_stack(np.stack([big, SIGMA_Z + [[0, 0.1], [0, 0]]]))
 
     @pytest.mark.parametrize("bad", [
         [[0, 1], [0, 0]],
