@@ -180,27 +180,36 @@ def _leaf_layout(newline: str, depth: int):
 
 def _json_rows(columns: dict[str, np.ndarray]) -> str:
     """The text _dumps gives, as the value of a top-level key, for the list
-    of row objects {key: column[i]} of equal-length float64 columns.
+    of row objects {key: column[i]} of equal-length float64 columns, one of
+    them under "lambda".
 
-    Each column is reduced to its distinct bit patterns, so -0.0 stays apart
-    from 0.0, and those values are formatted by one json.dumps call, which
-    gives the stdlib's text (float repr, NaN, Infinity) by construction.
-    The rows are then filled into one %-template in sorted key order.
+    The rows are written in runs over which every other column keeps its
+    bits, so -0.0 stays apart from 0.0 and one NaN from another.  One
+    json.dumps call formats the lambdas and one the other columns at each
+    run's start, which gives the stdlib's text (float repr, NaN, Infinity)
+    by construction.  Each run's row text is written once with an empty
+    slot for lambda, and the run's lambda texts are joined into it.
     """
     keys = sorted(columns)
-    count = len(columns[keys[0]])
+    count = len(columns["lambda"])
     if count == 0:
         return "[]"
     item = "\n" + " " * (2 * JSON_INDENT)
-    row = "{" + ",".join(f"{item}{' ' * JSON_INDENT}{json.dumps(key)}: %s" for key in keys)
-    row += item + "}"
-    cells = np.empty((count, len(keys)), dtype=object)
-    for j, key in enumerate(keys):
-        bits, inverse = np.unique(columns[key].view(np.int64), return_inverse=True)
-        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        cells[:, j] = np.array(texts, dtype=object)[inverse]
-    rows = ("," + item).join([row] * count) % tuple(cells.ravel().tolist())
-    return "[" + item + rows + "\n" + " " * JSON_INDENT + "]"
+    field = item + " " * JSON_INDENT
+    steps = np.stack([columns[key] for key in keys if key != "lambda"])
+    bits = steps.view(np.int64)
+    starts = [0, *(np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1).tolist()]
+    lambdas = json.dumps(columns["lambda"].tolist())[1:-1].split(", ")
+    values = iter(json.dumps(steps[:, starts].T.ravel().tolist())[1:-1].split(", "))
+    names = [json.dumps(key) + ": " for key in keys]
+    slot = keys.index("lambda")
+    runs = []
+    for start, stop in zip(starts, starts[1:] + [count]):
+        cells = [name if key == "lambda" else name + next(values) for key, name in zip(keys, names)]
+        head = "{" + field + ("," + field).join(cells[:slot + 1])
+        tail = "".join("," + field + cell for cell in cells[slot + 1:]) + item + "}"
+        runs.append(head + (tail + "," + item + head).join(lambdas[start:stop]) + tail)
+    return "[" + item + ("," + item).join(runs) + "\n" + " " * JSON_INDENT + "]"
 
 
 def _hv_demo_json(report) -> str:

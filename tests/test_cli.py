@@ -987,6 +987,36 @@ class TestHvDemoRows:
                      "2.2250738585072014e-308"):
             assert f": {text}," in expected or f": {text}\n" in expected
 
+    @pytest.mark.parametrize("kind", ["non-commuting", "parallel"])
+    def test_shuffled_lambdas(self, kind):
+        # an unsorted lambda array breaks the rows into many runs of constant outcomes
+        rng = np.random.default_rng(19)
+        r = random_hermitian(2, rng).matrix
+        s = random_hermitian(2, rng).matrix if kind == "non-commuting" else -0.5 * r + identity(2)
+        report = hidden_variables.additivity_violation_report(
+            PureState.normalized(rng.standard_normal(2) + 1j * rng.standard_normal(2)), r, s,
+            rng.permutation(hidden_variables.lambda_grid(1000)))
+        assert np.count_nonzero(np.diff(report.values_r)) > 100
+        expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
+        assert cli._hv_demo_json(report) == expected
+
+    @pytest.mark.parametrize("steps", [
+        [1.0, -1.0, 1.0],
+        [0.0, -0.0, 0.0],
+        [math.nan, -math.nan, math.nan],
+    ])
+    def test_runs_that_come_back(self, steps):
+        # a step value that returns after another, or differs only in its sign bit
+        column = np.repeat(steps, [3, 1, 2])
+        report = hidden_variables.SubensembleReport(
+            PureState.from_label("z+"), hidden_variables.lambda_grid(6),
+            column, np.full(6, -0.0), column[::-1].copy(),
+            average_r=0.0, average_s=0.0, average_sum=0.0,
+            quantum_r=0.0, quantum_s=0.0, quantum_sum=0.0,
+        )
+        expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
+        assert cli._hv_demo_json(report) == expected
+
     def test_no_rows(self):
         report = hidden_variables.additivity_violation_report(
             PureState.from_label("z+"), SIGMA_X, SIGMA_Z, [])
