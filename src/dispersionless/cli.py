@@ -546,7 +546,15 @@ def run_command(argv: list[str]) -> int:
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe: send what is left to /dev/null, so
+        # the flush at exit cannot fail again, and exit 1 as Python does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

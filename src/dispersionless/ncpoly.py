@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,20 +85,19 @@ class NcPolynomial:
     def __neg__(self):
         return _reduced({w: -n for w, n in self._nums.items()}, self._den)
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        # self + sign * other over the least common denominator, in one pass
         if not isinstance(other, NcPolynomial):
             return NotImplemented
         common = gcd(self._den, other._den)
-        lift, other_lift = other._den // common, self._den // common
+        lift, other_lift = other._den // common, sign * (self._den // common)
         out = {w: n * lift for w, n in self._nums.items()}
         for word, n in other._nums.items():
             out[word] = out.get(word, 0) + n * other_lift
         return _reduced(out, self._den * lift)
 
     def __sub__(self, other):
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, NcPolynomial):
@@ -144,6 +143,18 @@ class NcPolynomial:
         return f"NcPolynomial({self})"
 
 
+def _symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
+    # (ab + ba)/2 in one pass over the term pairs and one reduction
+    out: dict[Word, int] = {}
+    for w1, n1 in a._nums.items():
+        for w2, n2 in b._nums.items():
+            n = n1 * n2
+            ab, ba = w1 + w2, w2 + w1
+            out[ab] = out.get(ab, 0) + n
+            out[ba] = out.get(ba, 0) + n
+    return _reduced(out, 2 * a._den * b._den)
+
+
 def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     """Substitute matrices for symbols and evaluate.
 
@@ -153,6 +164,12 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     precision at the end.  Every symbol of p must be bound and all bound
     operators must share one dimension.
     """
+    return next(_evaluate((p,), bindings))
+
+
+def _evaluate(polys: Sequence[NcPolynomial],
+              bindings: Mapping[str, object]) -> Iterator[np.ndarray]:
+    # evaluate_nc of each polynomial, all reading one table of prefix products
     mats: dict[str, np.ndarray] = {}
     dim = None
     for name, op in bindings.items():
@@ -164,21 +181,23 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
                 f"bound operators disagree on dimension: {dim} vs {m.shape[0]}"
             )
         mats[name] = m
-    missing = p.symbols() - set(mats)
+    missing = set().union(*(p.symbols() for p in polys)) - set(mats)
     if missing:
         raise ValidationError(f"unbound symbols: {sorted(missing)}")
     if dim is None:
         # constant polynomial with no bindings has no intrinsic dimension
         raise ValidationError("at least one binding is required")
-    products: dict[Word, np.ndarray] = {(): np.eye(dim, dtype=np.complex128)}
-    products.update(((name,), m) for name, m in mats.items())
+    products: dict[Word, np.ndarray] = {(name,): m for name, m in mats.items()}
 
     def product(word: Word) -> np.ndarray:
         if word not in products:
-            products[word] = product(word[:-1]) @ mats[word[-1]]
+            products[word] = (product(word[:-1]) @ mats[word[-1]] if word
+                              else np.eye(dim, dtype=np.complex128))
         return products[word]
 
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for word, coeff in p.sorted_terms():
-        total += float(coeff) * product(word)
-    return total
+    for p in polys:
+        total = np.zeros((dim, dim), dtype=np.complex128)
+        for word, n in sorted(p._nums.items(), key=_canonical):
+            # int true division rounds correctly, as float(Fraction(n, den)) does
+            total += n / p._den * product(word)
+        yield total

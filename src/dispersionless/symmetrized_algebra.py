@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ncpoly import NcPolynomial, evaluate_nc
+from .ncpoly import NcPolynomial, _evaluate, _symmetrized_product
 from .operator_core import (
     COMM_TOL,
     DEGENERACY_GAP,
@@ -36,7 +36,7 @@ from .operator_core import (
 
 def symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
     """(ab + ba)/2 in the free algebra; commutative and bilinear by construction."""
-    return (a * b + b * a) / 2
+    return _symmetrized_product(a, b)
 
 
 def _poly(spec: dict[str, tuple[int, int]]) -> NcPolynomial:
@@ -117,13 +117,12 @@ def verify_appendix1_chain() -> ChainReport:
     steps = []
 
     def check(name, description, computed, expected):
-        steps.append(ChainStep(
-            name=name,
-            description=description,
-            computed=str(computed),
-            expected=str(expected),
-            passed=computed == expected,
-        ))
+        # equal polynomials have equal storage and print the same text
+        passed = computed == expected
+        text = str(expected)
+        steps.append(ChainStep(name=name, description=description,
+                               computed=text if passed else str(computed),
+                               expected=text, passed=passed))
 
     check("RS", "image of the product of R and S",
           rs, FIXTURE_RS)
@@ -299,10 +298,9 @@ def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabili
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    bindings = {"R": r, "S": s}
     cnorm = commutator_norm(r, s)
-    cross = frobenius(evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
-    square = frobenius(evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
+    cross, square = map(frobenius, _evaluate(
+        (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT), {"R": r, "S": s}))
     jointly = commutator_within_tol(cnorm, r, s, tol)
     return JointMeasurabilityVerdict(
         jointly_measurable=jointly,

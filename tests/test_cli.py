@@ -1234,6 +1234,107 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("a, b, output_format, expected", [
+        ("SX", "SY", "json", """\
+{
+  "command": "jointmeas",
+  "commutator_norm": 2.8284271247461903,
+  "commutator_square_norm": 5.656854249492381,
+  "generator": null,
+  "jointly_measurable": false,
+  "passed": true,
+  "schema": 1,
+  "square_product_deficit_norm": 0.0
+}
+"""),
+        ("SX", "SY", "text", """\
+A = SX
+B = SY
+verdict: not jointly measurable
+commutator norm: 2.82842712
+certificate |(AB-BA)^2|: 5.65685425
+square-product deficit |A^2B^2 + B^2A^2 - (AB)(BA) - (BA)(AB)|: 0.00000000
+"""),
+        ("SZ", "2*SZ + 3*I", "json", """\
+{
+  "command": "jointmeas",
+  "commutator_norm": 0.0,
+  "commutator_square_norm": 0.0,
+  "generator": {
+    "f_table": {
+      "0": -1.0,
+      "1": 1.0
+    },
+    "g_table": {
+      "0": 1.0,
+      "1": 5.0
+    },
+    "t": {
+      "dim": 2,
+      "entries": [
+        [
+          [
+            1.0,
+            0.0
+          ],
+          [
+            0.0,
+            0.0
+          ]
+        ],
+        [
+          [
+            0.0,
+            0.0
+          ],
+          [
+            0.0,
+            0.0
+          ]
+        ]
+      ]
+    }
+  },
+  "jointly_measurable": true,
+  "passed": true,
+  "schema": 1,
+  "square_product_deficit_norm": 0.0
+}
+"""),
+        ("SZ", "2*SZ + 3*I", "text", """\
+A = SZ
+B = 2*SZ + 3*I
+verdict: jointly measurable
+commutator norm: 0.00000000
+common generator T with readout tables:
+  [+1.000000+0.000000j, +0.000000+0.000000j]
+  [+0.000000+0.000000j, +0.000000+0.000000j]
+  f: {0: -1.0, 1: 1.0}
+  g: {0: 1.0, 1: 5.0}
+"""),
+    ], ids=["pauli-json", "pauli-text", "diagonal-json", "diagonal-text"])
+    def test_pinned_jointmeas_reports(self, capsys, a, b, output_format, expected):
+        # Pauli and diagonal inputs: every product and norm is exact, and the
+        # eigenvectors of a diagonal matrix are unit vectors under any LAPACK,
+        # so these bytes do not depend on one solver
+        assert run(capsys, "jointmeas", "--a", a, "--b", b,
+                   "--format", output_format) == (0, expected, "")
+
+
+def test_closed_pipe_exits_without_traceback():
+    # a report far larger than a pipe buffer, whose reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dispersionless", "hv-demo", "--phi", "z+", "--a", "SX",
+         "--b", "SY", "--lambda-grid-size", "100001", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == b""
+
 
 def test_module_entry_point():
     proc = subprocess.run(

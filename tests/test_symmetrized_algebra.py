@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersionless import operator_core, symmetrized_algebra
-from dispersionless.ncpoly import NcPolynomial, evaluate_nc
+from dispersionless.ncpoly import NcPolynomial, _evaluate, evaluate_nc
 from dispersionless.operator_core import (
     FunctionDomainError,
     HermitianOperator,
@@ -189,6 +189,19 @@ class TestNcPolynomial:
             assert bool(got) == bool(want)
         assert (pa == pb) == (a == b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(TERMS, TERMS)
+    def test_one_pass_forms_match_generic_operators(self, a, b):
+        pa, pb = NcPolynomial(a), NcPolynomial(b)
+        assert pa - pb == pa + (-pb)
+        generic = (pa * pb + pb * pa) / 2
+        assert symmetrized_product(pa, pb) == generic
+        assert str(symmetrized_product(pa, pb)) == str(generic)
+
+    def test_subtracting_a_scalar_is_refused(self):
+        with pytest.raises(TypeError):
+            R - 1
+
 
 class TestSymmetrizedProduct:
     def test_basic_pair(self):
@@ -245,20 +258,25 @@ class TestChain:
         assert by_name["S(R(RS))"].computed == by_name["S(R(RS))"].expected
 
     def test_replay_binds_each_image_once(self, monkeypatch):
-        # 10 symmetrized products of 2 products each, then (RS - SR)^2 takes 3
-        calls = []
-        product = NcPolynomial.__mul__
+        # 10 symmetrized products, then (RS - SR)^2 takes 3 plain products
+        sym_calls, mul_calls = [], []
+        sym, mul = symmetrized_product, NcPolynomial.__mul__
 
-        def counted(self, other):
-            calls.append(other)
-            return product(self, other)
+        def counted_sym(a, b):
+            sym_calls.append((a, b))
+            return sym(a, b)
 
-        monkeypatch.setattr(NcPolynomial, "__mul__", counted)
+        def counted_mul(self, other):
+            mul_calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(symmetrized_algebra, "symmetrized_product", counted_sym)
+        monkeypatch.setattr(NcPolynomial, "__mul__", counted_mul)
         assert verify_appendix1_chain().passed
-        assert len(calls) == 23
+        assert (len(sym_calls), len(mul_calls)) == (10, 3)
         # nothing is cached: a second replay makes every product again
         assert verify_appendix1_chain().passed
-        assert len(calls) == 46
+        assert (len(sym_calls), len(mul_calls)) == (20, 6)
 
     def test_commutator_square_is_cross_square_deficit(self):
         comm = R * S - S * R
@@ -303,6 +321,19 @@ class TestEvaluateNc:
         sparse = NcPolynomial({tuple("RSSRS"): 3, tuple("SSRRS"): Fraction(-1, 3), ("S",): 2})
         for p in (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, dense, sparse):
             assert np.array_equal(evaluate_nc(p, mats), left_to_right(p, mats, dim))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
+           k=st.integers(-20, 20), extra=st.lists(TERMS, max_size=2))
+    def test_shared_table_equals_separate_evaluations(self, seed, dim, k, extra):
+        # one table of prefix products, shared by the deficits and any other
+        # polynomials, gives each the bits it has alone
+        rng = np.random.default_rng(seed)
+        mats = {name: 2.0 ** k * random_hermitian(dim, rng).matrix for name in "RST"}
+        polys = [CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, *map(NcPolynomial, extra)]
+        for shared, p in zip(_evaluate(polys, mats), polys, strict=True):
+            assert np.array_equal(shared, evaluate_nc(p, mats))
+            assert np.array_equal(shared, left_to_right(p, mats, dim))
 
     def test_constant_term_scales_identity(self):
         got = evaluate_nc(NcPolynomial({(): 3}) + R, {"R": SIGMA_Z})
@@ -458,6 +489,25 @@ class TestSinglePass:
         verdict = joint_measurability_witness(HermitianOperator(SIGMA_Z), HermitianOperator(b))
         assert verdict.jointly_measurable is jointly
         assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
+           exponents=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+           commuting=st.booleans())
+    def test_certificates_equal_direct_evaluation(self, seed, dim, exponents, commuting):
+        rng = np.random.default_rng(seed)
+        if commuting and dim > 1:
+            r, s = commuting_pair_from_tables(dim, rng)
+        else:
+            r, s = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        r, s = (HermitianOperator(2.0 ** k * op.matrix) for k, op in zip(exponents, (r, s)))
+        verdict = joint_measurability_witness(r, s)
+        bindings = {"R": r, "S": s}
+        assert verdict.commutator_norm == commutator_norm(r, s)
+        assert verdict.commutator_square_norm == frobenius(
+            evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
+        assert verdict.square_product_deficit_norm == frobenius(
+            evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
