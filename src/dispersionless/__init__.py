@@ -40,16 +40,14 @@ from .expectation_functionals import (
     PositivityViolation,
     PureState,
     check_linearity,
-    dispersion,
     dispersion_witness,
     hermitian_basis,
     max_eigenvalue_functional,
-    pure_state_expectation,
     pure_state_functional,
     reconstruct_density,
     trace_functional,
 )
-from .ncpoly import NcPolynomial, evaluate_nc
+from .ncpoly import NcPolynomial, evaluate_nc, symmetrized_product
 from .symmetrized_algebra import (
     ChainReport,
     ChainStep,
@@ -57,7 +55,6 @@ from .symmetrized_algebra import (
     JointMeasurabilityVerdict,
     common_generator,
     joint_measurability_witness,
-    symmetrized_product,
     verify_appendix1_chain,
 )
 from .hidden_variables import (

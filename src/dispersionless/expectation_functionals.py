@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,9 @@ class ExpectationFunctional:
     __slots__ = ("dim", "_evaluate_stack")
 
     def __init__(self, dim: int, evaluate=None, evaluate_stack=None):
+        # bool counts as numbers.Integral in Python but is refused as a dimension
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ValidationError(f"functional dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise ValidationError("functional dimension must be at least 1")
         if (evaluate is None) == (evaluate_stack is None):
@@ -300,20 +304,6 @@ class ExpectationFunctional:
         return f"ExpectationFunctional(dim={self.dim})"
 
 
-def pure_state_expectation(phi: PureState, op) -> float:
-    """Inner-product expectation of op in the state phi.
-
-    The imaginary part is dropped: for a HermitianOperator it is at most
-    HERM_TOL * max(1, |op|) / 2 plus roundoff at the scale of op.
-    """
-    op = as_hermitian(op)
-    if op.dim != phi.dim:
-        raise ValidationError(
-            f"dimension mismatch: state {phi.dim} vs operator {op.dim}"
-        )
-    return float(np.vdot(phi.vector, op.matrix @ phi.vector).real)
-
-
 def trace_functional(u) -> ExpectationFunctional:
     """Trace-form functional against a fixed Hermitian operator.
 
@@ -341,7 +331,7 @@ def _pure_state_values(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def pure_state_functional(phi: PureState) -> ExpectationFunctional:
-    """<phi|r|phi> per operator r, the value pure_state_expectation gives."""
+    """<phi|r|phi> per operator r: the real part of the inner product vdot(phi, r phi)."""
     return ExpectationFunctional(
         phi.dim, evaluate_stack=functools.partial(_pure_state_values, phi.vector))
 
@@ -447,7 +437,7 @@ def reconstruct_density(
     ``_BAND_CELLS`` cells; a probe band is drawn only when every earlier
     probe passed.  A NaN value fails its check, and a NaN basis value the
     first probe that reads it.  Raises ValidationError unless lin_tol is
-    finite and positive.
+    finite and positive and probe_count is non-negative.
     """
     return _reconstruct(f, probe_count, seed, lin_tol)[1]
 
@@ -456,6 +446,8 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
     # reconstruct_density, also returning the basis values in _basis_bands
     # order; a FunctionalViolation it raises carries them as `values`
     _require_tol("linearity tolerance", lin_tol)
+    if probe_count < 0:
+        raise ValidationError(f"probe_count must be non-negative, got {probe_count}")
     dim = f.dim
 
     def evaluate(band):
@@ -579,14 +571,6 @@ def check_linearity(
         unrestricted_max_deviation=float(np.max(unrestricted)),
         commuting_max_deviation=float(np.max(commuting)),
     )
-
-
-def dispersion(f: ExpectationFunctional, op) -> float:
-    """f(op^2) - f(op)^2, with op^2 formed by matrix multiplication."""
-    op = as_hermitian(op)
-    f._require_dim(op.dim)
-    square = HermitianOperator(op.matrix @ op.matrix)
-    return f(square) - f(op) ** 2
 
 
 def dispersion_witness(u: DensityMatrix) -> tuple[HermitianOperator, float]:

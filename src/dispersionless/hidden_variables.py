@@ -167,10 +167,6 @@ class LambdaSample:
     value_s: float
     value_sum: float
 
-    @property
-    def delta(self) -> float:
-        return self.value_sum - self.value_r - self.value_s
-
 
 @dataclass(frozen=True, eq=False)
 class SubensembleReport:
@@ -223,7 +219,7 @@ class SubensembleReport:
     def violation_fraction(self) -> float:
         scale = np.abs(self.values_r) + np.abs(self.values_s) + np.abs(self.values_sum)
         bad = np.count_nonzero(np.abs(self.deltas) > DELTA_TOL * scale)
-        return bad / max(self.lambdas.size, 1)  # 0.0 for an empty lambda list
+        return float(bad / max(self.lambdas.size, 1))  # 0.0 for an empty lambda list
 
     def to_json(self, pairs: bool = True) -> dict:
         """The report as a JSON object, with one "pairs" row per parameter value.

@@ -143,8 +143,9 @@ class NcPolynomial:
         return f"NcPolynomial({self})"
 
 
-def _symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
-    # (ab + ba)/2 in one pass over the term pairs and one reduction
+def symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
+    """(ab + ba)/2 in the free algebra; commutative and bilinear by construction."""
+    # one pass over the term pairs and one reduction
     out: dict[Word, int] = {}
     for w1, n1 in a._nums.items():
         for w2, n2 in b._nums.items():

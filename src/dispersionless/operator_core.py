@@ -120,9 +120,9 @@ class HermitianOperator:
     """An n-by-n complex Hermitian matrix standing for a measurable quantity.
 
     Immutable after construction; hermiticity is enforced within HERM_TOL
-    (relative Frobenius deviation).  Real linear combinations stay inside
-    the class; anything that can leave it (matrix products, say) goes
-    through the raw ``.matrix`` array.
+    (relative Frobenius deviation).  A sum of two stays inside the class;
+    any other arithmetic (scaling, matrix products) goes through the raw
+    ``.matrix`` array.
     """
 
     __slots__ = ("_matrix",)
@@ -161,22 +161,6 @@ class HermitianOperator:
             return NotImplemented
         self._require_same_dim(other)
         return HermitianOperator(self._matrix + other._matrix)
-
-    def __sub__(self, other):
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        self._require_same_dim(other)
-        return HermitianOperator(self._matrix - other._matrix)
-
-    def __neg__(self):
-        return HermitianOperator(-self._matrix)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Real):
-            raise ValidationError("only real scalars preserve hermiticity")
-        return HermitianOperator(self._matrix * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -221,10 +205,6 @@ class Spectrum:
     def __post_init__(self):
         self.eigenvalues.flags.writeable = False
         self.eigenvectors.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
     def projector(self, k: int) -> np.ndarray:
         v = self.eigenvectors[:, k]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ncpoly import NcPolynomial, _evaluate, _symmetrized_product
+from .ncpoly import NcPolynomial, _evaluate, symmetrized_product
 from .operator_core import (
     COMM_TOL,
     DEGENERACY_GAP,
@@ -32,11 +32,6 @@ from .operator_core import (
     eigendecompose,
     frobenius,
 )
-
-
-def symmetrized_product(a: NcPolynomial, b: NcPolynomial) -> NcPolynomial:
-    """(ab + ba)/2 in the free algebra; commutative and bilinear by construction."""
-    return _symmetrized_product(a, b)
 
 
 def _poly(spec: dict[str, tuple[int, int]]) -> NcPolynomial:

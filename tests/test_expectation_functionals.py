@@ -23,11 +23,9 @@ from dispersionless.expectation_functionals import (
     PositivityViolation,
     PureState,
     check_linearity,
-    dispersion,
     dispersion_witness,
     hermitian_basis,
     max_eigenvalue_functional,
-    pure_state_expectation,
     pure_state_functional,
     reconstruct_density,
     trace_functional,
@@ -175,7 +173,23 @@ class TestHermitianBasis:
         assert np.concatenate(bands).tobytes() == expected.tobytes()
 
 
+class TestFunctionalDimension:
+    @pytest.mark.parametrize("dim", [True, 2.7, 2.0, "2"], ids=["bool", "float", "whole-float", "str"])
+    def test_dimension_must_be_an_integer(self, dim):
+        # int(2.7) would silently make a 2-dimensional functional
+        with pytest.raises(ValidationError, match="must be an integer"):
+            ExpectationFunctional(dim, evaluate=lambda op: 0.0)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            max_eigenvalue_functional(dim)
+
+
 class TestReconstruction:
+    def test_negative_probe_count_refused(self):
+        # range(0, -3, step) is empty, so -3 would run as no random probe
+        f = trace_functional(DensityMatrix(identity(2) / 2))
+        with pytest.raises(ValidationError, match="probe_count"):
+            reconstruct_density(f, probe_count=-3)
+
     def test_round_trip_dim4(self):
         rng = RNG(2)
         u0 = DensityMatrix.random(4, rng)
@@ -422,14 +436,14 @@ def _stack_functionals(dim, rng):
     """The three built-ins given by a stack formula, on random data.
 
     Each comes under its name with the one-operator formula of the same
-    value: tr(u r) as vdot, pure_state_expectation, and the top of
-    eigendecompose.
+    value: tr(u r) and <phi|r|phi> as vdot, and the top of eigendecompose.
     """
     rho = DensityMatrix.random(dim, rng)
     phi = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     return {
         "trace": (trace_functional(rho), lambda r: float(np.vdot(r.matrix, rho.matrix).real)),
-        "pure": (pure_state_functional(phi), lambda r: pure_state_expectation(phi, r)),
+        "pure": (pure_state_functional(phi),
+                 lambda r: float(np.vdot(phi.vector, r.matrix @ phi.vector).real)),
         "maxeig": (max_eigenvalue_functional(dim),
                    lambda r: float(eigendecompose(r).eigenvalues[-1])),
     }
@@ -606,17 +620,18 @@ def _recording(f):
 
 
 class TestDispersion:
+    # the dispersion of op under f is f(op op) - f(op)^2
     def test_eigenstate_has_none(self):
         f = pure_state_functional(PureState.from_label("z+"))
-        assert abs(dispersion(f, HermitianOperator(SIGMA_Z))) <= 1e-12
+        assert abs(f(SIGMA_Z @ SIGMA_Z) - f(SIGMA_Z) ** 2) <= 1e-12
 
     def test_transverse_operator_has_unit_dispersion(self):
         f = pure_state_functional(PureState.from_label("z+"))
-        assert abs(dispersion(f, HermitianOperator(SIGMA_X)) - 1.0) <= 1e-12
+        assert abs(f(SIGMA_X @ SIGMA_X) - f(SIGMA_X) ** 2 - 1.0) <= 1e-12
 
     def test_maximally_mixed_sigma_z(self):
         f = trace_functional(DensityMatrix(identity(2) / 2))
-        assert abs(dispersion(f, HermitianOperator(SIGMA_Z)) - 1.0) <= 1e-12
+        assert abs(f(SIGMA_Z @ SIGMA_Z) - f(SIGMA_Z) ** 2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_trace_form_dispersion_nonnegative(self, dim):
@@ -625,7 +640,7 @@ class TestDispersion:
             u = DensityMatrix.random(dim, rng)
             f = trace_functional(u)
             op = random_hermitian(dim, rng)
-            assert dispersion(f, op) >= -LIN_TOL
+            assert f(op.matrix @ op.matrix) - f(op) ** 2 >= -LIN_TOL
 
 
 class TestDispersionWitness:
@@ -678,22 +693,17 @@ class TestDispersionWitness:
 
 class TestPureStateExpectation:
     def test_eigenstate(self):
-        assert pure_state_expectation(
-            PureState.from_label("z+"), HermitianOperator(SIGMA_Z)
-        ) == 1.0
+        f = pure_state_functional(PureState.from_label("z+"))
+        assert f(HermitianOperator(SIGMA_Z)) == 1.0
 
     def test_x_eigenstate(self):
-        val = pure_state_expectation(
-            PureState.from_label("x+"), HermitianOperator(SIGMA_X)
-        )
+        val = pure_state_functional(PureState.from_label("x+"))(HermitianOperator(SIGMA_X))
         assert abs(val - 1.0) <= 1e-12
 
     def test_additivity_is_exact_for_this_case(self):
-        phi = PureState.from_label("z+")
-        combined = pure_state_expectation(phi, HermitianOperator(SIGMA_X + SIGMA_Y))
-        separate = pure_state_expectation(
-            phi, HermitianOperator(SIGMA_X)
-        ) + pure_state_expectation(phi, HermitianOperator(SIGMA_Y))
+        f = pure_state_functional(PureState.from_label("z+"))
+        combined = f(HermitianOperator(SIGMA_X + SIGMA_Y))
+        separate = f(HermitianOperator(SIGMA_X)) + f(HermitianOperator(SIGMA_Y))
         assert combined == 0.0
         assert combined == separate
 
@@ -704,16 +714,16 @@ class TestPureStateExpectation:
         rng = RNG(60 + dim)
         for _ in range(20):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            phi = PureState.normalized(v)
+            f = pure_state_functional(PureState.normalized(v))
             r = random_hermitian(dim, rng)
             s = random_hermitian(dim, rng)
-            lhs = pure_state_expectation(phi, r + s)
-            rhs = pure_state_expectation(phi, r) + pure_state_expectation(phi, s)
+            lhs = f(r + s)
+            rhs = f(r) + f(s)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            pure_state_expectation(PureState([1.0, 0.0, 0.0]), HermitianOperator(SIGMA_X))
+            pure_state_functional(PureState([1.0, 0.0, 0.0]))(HermitianOperator(SIGMA_X))
 
     def test_large_operator_matches_numpy(self):
         # |<v|M|v>| ~ 3.2e9 with a roundoff imaginary part ~ 2e-7
@@ -721,7 +731,7 @@ class TestPureStateExpectation:
         m = a @ a @ a
         phi = PureState.from_label("x+")
         expected = np.vdot(phi.vector, m @ phi.vector).real
-        got = pure_state_expectation(phi, HermitianOperator(m))
+        got = pure_state_functional(phi)(HermitianOperator(m))
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 

@@ -21,9 +21,8 @@ from dispersionless.expectation_functionals import (
     FunctionalViolation,
     PureState,
     check_linearity,
-    dispersion,
     hermitian_basis,
-    pure_state_expectation,
+    pure_state_functional,
     reconstruct_density,
 )
 from dispersionless.hidden_variables import (
@@ -254,7 +253,7 @@ class TestAverageOverLambda:
             phi = random_qubit_state(rng)
             op = random_hermitian(2, rng)
             closed = average_over_lambda(phi, op)
-            quantum = pure_state_expectation(phi, op)
+            quantum = pure_state_functional(phi)(op)
             assert abs(closed - quantum) <= 1e-12
 
     def test_against_riemann_sum(self):
@@ -285,7 +284,7 @@ class TestAdditivityReport:
             assert sample.value_r + sample.value_s in (
                 pytest.approx(-2.0), pytest.approx(0.0), pytest.approx(2.0)
             )
-            assert abs(sample.delta) >= 2.0 - math.sqrt(2) - 1e-12
+        assert np.all(np.abs(report.deltas) >= 2.0 - math.sqrt(2) - 1e-12)
 
     def test_commuting_pair_never_violates(self):
         report = additivity_violation_report(
@@ -295,8 +294,7 @@ class TestAdditivityReport:
             lambda_grid(1000),
         )
         assert report.violation_fraction == 0.0
-        for sample in report.samples:
-            assert sample.delta == 0.0
+        assert report.deltas.tolist() == [0.0] * 1000
         assert abs(report.avg_delta) <= 1e-12
 
     def test_scaled_operator_is_exactly_additive(self):
@@ -307,8 +305,7 @@ class TestAdditivityReport:
             lambda_grid(500),
         )
         assert report.violation_fraction == 0.0
-        for sample in report.samples:
-            assert sample.delta == 0.0
+        assert report.deltas.tolist() == [0.0] * 500
 
     def test_averages_match_quantum_values(self):
         rng = RNG(12)
@@ -328,12 +325,12 @@ class TestAdditivityReport:
         ulp = np.finfo(np.float64).eps
         for _ in range(200):
             phi = random_qubit_state(rng)
-            r = random_hermitian(2, rng) * float(scale * rng.uniform(0.1, 10))
-            s = random_hermitian(2, rng) * float(scale * rng.uniform(0.1, 10))
+            r = HermitianOperator(random_hermitian(2, rng).matrix * float(scale * rng.uniform(0.1, 10)))
+            s = HermitianOperator(random_hermitian(2, rng).matrix * float(scale * rng.uniform(0.1, 10)))
             report = additivity_violation_report(phi, r, s, [0.0])
             for value, op in ((report.quantum_r, r), (report.quantum_s, s),
                               (report.quantum_sum, r + s)):
-                assert abs(value - pure_state_expectation(phi, op)) <= 4 * ulp * op.norm()
+                assert abs(value - pure_state_functional(phi)(op)) <= 4 * ulp * op.norm()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_match_pointwise_assignment(self, seed):
@@ -369,6 +366,14 @@ class TestAdditivityReport:
         assign_value(Z_PLUS, 0.1, r)
         assert calls == [1]
 
+    @pytest.mark.parametrize("lambdas", [lambda_grid(10), [0.1], []], ids=["grid", "one", "empty"])
+    def test_violation_fraction_is_a_python_float(self, lambdas):
+        # as every other report number is, so it reads 1.0, not np.float64(1.0)
+        report = additivity_violation_report(
+            Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), lambdas
+        )
+        assert type(report.violation_fraction) is float
+
     def test_json_schema(self):
         report = additivity_violation_report(
             Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), lambda_grid(4)
@@ -387,11 +392,11 @@ class TestAdditivityReport:
         report = additivity_violation_report(phi, r, s, rng.uniform(-0.5, 0.5, size=57))
         pairs = report.to_json()["pairs"]
         assert len(pairs) == len(report.samples) == 57
-        for pair, sample in zip(pairs, report.samples):
+        for pair, sample, delta in zip(pairs, report.samples, report.deltas.tolist()):
             assert pair == {"lambda": sample.lam, "vR": sample.value_r, "vS": sample.value_s,
-                            "vRplusS": sample.value_sum, "delta": sample.delta}
+                            "vRplusS": sample.value_sum, "delta": delta}
+            assert delta == sample.value_sum - sample.value_r - sample.value_s
             assert all(type(v) is float for v in pair.values())
-        assert report.deltas.tolist() == [sample.delta for sample in report.samples]
 
     def test_columns_are_read_only_copies(self):
         lams = np.array([-0.5, -0.1, 0.2, 0.5])
@@ -458,7 +463,7 @@ class TestViolationScale:
         grid = lambda_grid(64)
         unit = additivity_violation_report(phi, r, s, grid).violation_fraction
         scale = 10.0 ** exponent
-        scaled = additivity_violation_report(phi, scale * r, scale * s, grid)
+        scaled = additivity_violation_report(phi, scale * r.matrix, scale * s.matrix, grid)
         assert scaled.violation_fraction == unit
         assert unit == (0.0 if parallel else 1.0)
 
@@ -466,7 +471,8 @@ class TestViolationScale:
 class TestSubensembleFunctional:
     def test_dispersion_free_on_sigma_x(self):
         f = subensemble_functional(Z_PLUS, 0.3)
-        assert dispersion(f, HermitianOperator(SIGMA_X)) == 0.0
+        # f(op op) - f(op)^2 for op = SX
+        assert f(SIGMA_X @ SIGMA_X) - f(SIGMA_X) ** 2 == 0.0
 
     def test_normalized(self):
         for lam in (-0.5, -0.2, 0.0, 0.4, 0.5):
