@@ -275,6 +275,8 @@ class TestReconstruction:
             return original(dim, rng, count, *args)
 
         monkeypatch.setattr(ef, "random_hermitian_stack", counting)
+        # the count below must not depend on which test drew these probes first
+        ef._kept_probe_bands.cache_clear()
         with pytest.raises(AdditivityViolation) as exc:
             reconstruct_density(max_eigenvalue_functional(4))
         assert draws == []
@@ -285,6 +287,11 @@ class TestReconstruction:
         draws.clear()
         reconstruct_density(trace_functional(DensityMatrix.random(4, RNG(9))))
         assert draws == [4] * DEFAULT_PROBE_COUNT
+
+        # a second reconstruction with the same (dim, seed, count) draws nothing
+        draws.clear()
+        reconstruct_density(trace_functional(DensityMatrix.random(4, RNG(10))))
+        assert draws == []
 
     def test_pure_state_holds_one_band_at_a_time(self):
         v = RNG(7).standard_normal(32) + 1j * RNG(8).standard_normal(32)
@@ -329,6 +336,23 @@ class TestReconstruction:
         drawn = min(count, (first // band + 1) * band)
         assert len(seen) == dim * dim + 1 + 4 + drawn
         assert all(np.array_equal(a, b) for a, b in zip(seen[-drawn:], probes[:drawn]))
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0], ids=["bool", "float", "whole-float"])
+    def test_counts_and_seed_must_be_integers(self, value):
+        f = trace_functional(DensityMatrix(identity(2) / 2))
+        with pytest.raises(ValidationError, match="probe_count must be an integer"):
+            reconstruct_density(f, probe_count=value)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            reconstruct_density(f, seed=value)
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            check_linearity(f, value, 0)
+
+    @pytest.mark.parametrize("seed", [[1, 2], np.array([1, 2]), RNG(1)], ids=["list", "array", "generator"])
+    def test_seed_must_be_one_integer(self, seed):
+        # a sequence would not hash as a cache key, and a Generator would
+        # replay its first draws instead of advancing
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            reconstruct_density(trace_functional(DensityMatrix(identity(2) / 2)), seed=seed)
 
     def test_pure_state_functional(self):
         out = reconstruct_density(pure_state_functional(PureState.from_label("z+")))
@@ -403,6 +427,70 @@ def _random_unitary(dim, rng):
 def _numpy_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+class TestKeptProbeBands:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("count", [0, 1, 5, 32])
+    def test_equal_a_fresh_band_stream(self, dim, count):
+        seed = 40 + dim + count
+        rng, step = RNG(seed), ef._band_length(dim)
+        want = [random_hermitian_stack(dim, rng, min(step, count - start))
+                for start in range(0, count, step)]
+        got = ef._kept_probe_bands(dim, seed, count)
+        assert len(got) == len(want)
+        for band, fresh in zip(got, want):
+            assert band.shape == fresh.shape and band.tobytes() == fresh.tobytes()
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band[0, 0, 0] = 1.0
+
+    def test_cold_and_warm_reconstructions_agree(self):
+        u0 = DensityMatrix.random(8, RNG(31))
+        ef._kept_probe_bands.cache_clear()
+        cold = reconstruct_density(trace_functional(u0), seed=77)
+        hits = ef._kept_probe_bands.cache_info().hits
+        warm = reconstruct_density(trace_functional(u0), seed=77)
+        assert ef._kept_probe_bands.cache_info().hits == hits + 1
+        assert cold.matrix.tobytes() == warm.matrix.tobytes()
+
+    def test_cold_and_warm_report_the_same_violating_probe(self):
+        # the kinked functional of test_failing_band_stops_at_its_first_failing_probe
+        dim, seed, count = 16, 3, 64
+        u0 = DensityMatrix.random(dim, RNG(12))
+
+        def kink(m):
+            return 1e-8 * np.abs(m[..., 0, 0] * m[..., 1, 1] * m[..., 2, 3])
+
+        ranked = np.sort(kink(random_hermitian_stack(dim, RNG(seed), count)))
+        tol = float(ranked[-4] + ranked[-3]) / 2
+        f = ExpectationFunctional(dim, lambda r: np.vdot(r.matrix, u0.matrix).real + kink(r.matrix))
+        ef._kept_probe_bands.cache_clear()
+        reports = []
+        for _ in range(2):
+            with pytest.raises(AdditivityViolation) as exc:
+                reconstruct_density(f, probe_count=count, seed=seed, lin_tol=tol)
+            reports.append(exc.value)
+        assert ef._kept_probe_bands.cache_info().hits == 1
+        cold, warm = reports
+        assert cold.probe.matrix.tobytes() == warm.probe.matrix.tobytes()
+        assert (cold.lhs, cold.rhs) == (warm.lhs, warm.rhs)
+
+    def test_over_budget_count_is_streamed(self):
+        # 64 probes at d = 32 are twice the cache's per-key budget
+        u0 = DensityMatrix.random(32, RNG(6))
+        f = trace_functional(u0)
+        ef._kept_probe_bands.cache_clear()
+        tracemalloc.start()
+        try:
+            out = reconstruct_density(f, probe_count=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        info = ef._kept_probe_bands.cache_info()
+        assert (info.currsize, info.misses) == (0, 0)
+        assert peak < 1_000_000
+        assert frobenius(out.matrix - u0.matrix) <= 1e-10
 
 
 class TestTraceFormValue:

@@ -174,6 +174,18 @@ class TestRandomHermitian:
             assert m.tobytes() == random_hermitian(dim, single).matrix.tobytes()
         assert banded.bit_generator.state == single.bit_generator.state
 
+    @pytest.mark.parametrize("dim, count", [(1, 4), (2, 0), (2, 3), (3, 5), (7, 2), (32, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**40 + 7])
+    def test_matches_reference_formula(self, dim, count, seed):
+        # (G + G*)/2 with G = (x0 + i x1) (1/sqrt(2)), written out as complex
+        # arithmetic on the same normals
+        x = RNG(seed).standard_normal((count, 2, dim, dim))
+        g = (x[:, 0] + 1j * x[:, 1]) * (1.0 / math.sqrt(2.0))
+        want = (g + g.conj().swapaxes(-1, -2)) / 2.0
+        got = random_hermitian_stack(dim, RNG(seed), count)
+        assert got.dtype == np.complex128 and got.shape == (count, dim, dim)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestEigendecompose:
     def test_sigma_z_diagonal(self):
