@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,8 @@ from .operator_core import (
     SIGMA_Y,
     Spectrum,
     ValidationError,
+    _require_finite,
+    _require_integer,
     _require_tol,
     as_hermitian,
     as_hermitian_stack,
@@ -133,8 +134,7 @@ class PureState:
             raise ValidationError(f"not a complex vector: {exc}") from exc
         if v.ndim != 1 or len(v) < 1:
             raise ValidationError(f"expected a 1-d state vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("state vector entries must be finite")
+        _require_finite(v, "state vector")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > DM_TOL:
             raise ValidationError(f"state vector norm is {nrm!r}, not 1")
@@ -144,8 +144,7 @@ class PureState:
     @classmethod
     def normalized(cls, vector) -> "PureState":
         v = np.array(vector, dtype=np.complex128)
-        if not np.isfinite(v).all():
-            raise ValidationError("state vector entries must be finite")
+        _require_finite(v, "state vector")
         # the plain norm holds while the square of the largest part is a normal
         # float and the 2 len squares cannot overflow; else divide by that part,
         # as floats: numpy's complex division overflows on a subnormal divisor
@@ -228,6 +227,7 @@ class DensityMatrix:
 
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "DensityMatrix":
+        _require_integer("dimension", dim, 1)
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = g @ g.conj().T
         return cls(HermitianOperator(m / np.trace(m).real))
@@ -255,12 +255,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _require_integer(name: str, value):
-    # bool counts as numbers.Integral in Python but is refused as a count or seed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 class ExpectationFunctional:
     """Black-box map from Hermitian operators to real expectation values.
 
@@ -278,9 +272,7 @@ class ExpectationFunctional:
     __slots__ = ("dim", "_evaluate_stack")
 
     def __init__(self, dim: int, evaluate=None, evaluate_stack=None):
-        _require_integer("functional dimension", dim)
-        if dim < 1:
-            raise ValidationError("functional dimension must be at least 1")
+        _require_integer("functional dimension", dim, 1)
         if (evaluate is None) == (evaluate_stack is None):
             raise ValidationError("a functional needs evaluate or evaluate_stack, not both")
         self.dim = int(dim)
@@ -356,9 +348,11 @@ def _top_eigenvalues(stack):
     return np.linalg.eigh(stack)[0][:, -1]
 
 
-def _band_length(dim: int) -> int:
-    # how many dim x dim operators one band holds
-    return max(1, _BAND_CELLS // (dim * dim))
+def _bands(dim: int, count: int):
+    # (start, stop) of each band of count dim x dim operators
+    step = max(1, _BAND_CELLS // (dim * dim))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,13 +377,10 @@ def _basis_scatter(dim: int):
 
 def _basis_bands(dim: int):
     # hermitian_basis order, one (k, dim, dim) band at a time
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
+    _require_integer("dimension", dim, 1)
     above, upper, below, lower = _basis_scatter(dim)
     cells = dim * dim
-    step = _band_length(dim)
-    for start in range(0, cells, step):
-        end = min(start + step, cells)
+    for start, end in _bands(dim, cells):
         band = np.zeros((end - start, dim, dim), dtype=np.complex128)
         flat = band.reshape(-1)
         flat[above[start:end] - start * cells] = upper[start:end]
@@ -410,9 +401,8 @@ def hermitian_basis(dim: int) -> list[HermitianOperator]:
 def _probe_bands(dim: int, seed: int, count: int):
     # the count seeded random probes, one (k, dim, dim) band at a time
     rng = np.random.default_rng(seed)
-    step = _band_length(dim)
-    for start in range(0, count, step):
-        yield random_hermitian_stack(dim, rng, min(step, count - start))
+    for start, stop in _bands(dim, count):
+        yield random_hermitian_stack(dim, rng, stop - start)
 
 
 @functools.lru_cache(maxsize=8)
@@ -467,8 +457,8 @@ def reconstruct_density(
     later calls reuse them, read-only; above it each band is drawn when it
     is reached.  A NaN value fails its check, and a NaN basis value the
     first probe that reads it.  Raises ValidationError unless lin_tol is
-    finite and positive, probe_count is a non-negative integer and seed is
-    an integer.
+    finite and positive and probe_count and seed are non-negative integers:
+    a bool, a float, a sequence or a Generator seed is refused.
     """
     return _reconstruct(f, probe_count, seed, lin_tol)[1]
 
@@ -477,11 +467,9 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
     # reconstruct_density, also returning the basis values in _basis_bands
     # order; a FunctionalViolation it raises carries them as `values`
     _require_tol("linearity tolerance", lin_tol)
-    _require_integer("probe_count", probe_count)
-    if probe_count < 0:
-        raise ValidationError(f"probe_count must be non-negative, got {probe_count}")
+    _require_integer("probe_count", probe_count, 0)
     # the seed is a cache key: a Generator would replay its first draws
-    _require_integer("seed", seed)
+    _require_integer("seed", seed, 0)
     dim = f.dim
 
     def evaluate(band):
@@ -575,21 +563,20 @@ def check_linearity(
     unrestricted form.  After the witness pair, the trials are drawn and
     evaluated a band at a time, as many per band as a reconstruction
     probe band holds.  Raises ValidationError unless tol is finite and
-    positive and trials is a positive integer.
+    positive, trials is a positive integer and seed, which the report
+    keeps, a non-negative one: a bool, a float or a Generator is refused.
     """
     _require_tol("linearity tolerance", tol)
-    _require_integer("trials", trials)
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    _require_integer("trials", trials, 1)
+    _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     dim = f.dim
     unrestricted, commuting = [], []
     if dim >= 2:
         r, s = _canonical_band(dim)[:2, None]
         unrestricted.append(_max_deviation(f, r, s, np.ones(1), np.ones(1)))
-    step = _band_length(dim)
-    for start in range(0, trials, step):
-        k = min(step, trials - start)
+    for start, stop in _bands(dim, trials):
+        k = stop - start
         r, s = random_hermitian_stack(dim, rng, 2 * k).reshape(2, k, dim, dim)
         unrestricted.append(_max_deviation(f, r, s, *rng.uniform(-2.0, 2.0, size=(2, k))))
         # both readouts of a pair are increasing functions of one generator, so

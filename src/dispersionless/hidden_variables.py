@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expectation_functionals import ExpectationFunctional, PureState, _pure_state_values
-from .operator_core import ValidationError, as_hermitian
+from .operator_core import ValidationError, _require_integer, as_hermitian
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
@@ -155,8 +155,7 @@ def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
 
 def lambda_grid(size: int) -> np.ndarray:
     """Uniform deterministic grid over the parameter range, endpoints included."""
-    if size < 2:
-        raise ValidationError("lambda grid needs at least 2 points")
+    _require_integer("lambda grid size", size, 2)
     return np.linspace(LAMBDA_MIN, LAMBDA_MAX, size)
 
 

@@ -51,9 +51,9 @@ def as_square_matrix(entries) -> np.ndarray:
     return m
 
 
-def _require_finite(m: np.ndarray):
+def _require_finite(m: np.ndarray, what: str = "matrix"):
     if not np.isfinite(m).all():
-        raise ValidationError("matrix entries must be finite")
+        raise ValidationError(f"{what} entries must be finite")
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
@@ -104,8 +104,7 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def identity(dim: int) -> np.ndarray:
-    if dim < 1:
-        raise ValidationError("identity dimension must be at least 1")
+    _require_integer("identity dimension", dim, 1)
     return np.eye(dim, dtype=np.complex128)
 
 
@@ -258,6 +257,15 @@ def commutator_norm(a, b) -> float:
     return frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
+def _require_integer(name: str, value, low: int):
+    # a plain int skips the slower numbers.Integral check; bool is Integral but refused
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}")
+
+
 def _require_tol(what: str, tol: float):
     # the one tolerance rule of the library: a NaN, infinite, zero or
     # negative tolerance would turn every comparison against it into a
@@ -302,6 +310,7 @@ def random_hermitian_stack(dim: int, rng: np.random.Generator, count: int) -> np
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Standard complex Gaussian entries, symmetrized to (G + G*)/2."""
+    _require_integer("dimension", dim, 1)
     return HermitianOperator(random_hermitian_stack(dim, rng, 1)[0])
 
 
@@ -346,10 +355,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise ValidationError("matrix JSON must be an object with 'dim' and 'entries'")
     dim, entries = obj.get("dim"), obj.get("entries")
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValidationError("matrix JSON 'dim' must be an integer")
-    if dim < 1:
-        raise ValidationError("matrix JSON 'dim' must be at least 1")
+    _require_integer("matrix JSON 'dim'", dim, 1)
     if not isinstance(entries, Sequence) or len(entries) != dim:
         raise ValidationError("matrix JSON 'entries' must have exactly 'dim' rows")
     for row in entries:

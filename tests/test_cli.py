@@ -719,6 +719,29 @@ all steps hold: jointly measurable quantities must commute
         assert data["error"]["type"] == "ValidationError"
         assert "integer" in data["error"]["message"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("density, argv, message", [
+        ('{"dim": 1.5, "entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
+         "matrix JSON 'dim' must be an integer, got 1.5"),
+        (None, ("reconstruct", "--functional", "maxeig", "--dim", "0"),
+         "functional dimension must be at least 1"),
+    ], ids=["float-density-dim", "maxeig-dim-zero"])
+    def test_integer_refusal_texts(self, capsys, tmp_path, density, argv, message, fmt):
+        # the library's one integer rule, as the command line prints it
+        path = tmp_path / "dim.json"
+        if density is not None:
+            path.write_text(density)
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv), "--format", fmt)
+        assert code == 2
+        if fmt == "text":
+            assert (out, err) == ("", f"error: {message}\n")
+            return
+        assert err == ""
+        assert json.loads(out) == {
+            "schema": 1, "command": argv[0], "passed": False,
+            "error": {"type": "ValidationError", "message": message},
+        }
+
     @pytest.mark.parametrize("argv", [
         ("reconstruct", "--functional", "hv:z+:0.3", "--lin-tol", "nan"),
         ("reconstruct", "--functional", "maxeig", "--lin-tol", "-1"),

@@ -168,7 +168,7 @@ class TestHermitianBasis:
             expected[k, m, n] = above
             expected[k, n, m] = below
         bands = list(ef._basis_bands(dim))
-        assert all(len(band) <= ef._band_length(dim) for band in bands)
+        assert all(len(band) <= max(1, ef._BAND_CELLS // dim**2) for band in bands)
         # tobytes, unlike ==, tells -0.0 from 0.0
         assert np.concatenate(bands).tobytes() == expected.tobytes()
 
@@ -332,7 +332,7 @@ class TestReconstruction:
         assert np.array_equal(exc.value.probe.matrix, probes[first])
         assert abs(exc.value.delta - kink(probes[first])) <= 1e-15
         # the failing band was evaluated whole, and no later band was drawn
-        band = ef._band_length(dim)
+        band = max(1, ef._BAND_CELLS // (dim * dim))
         drawn = min(count, (first // band + 1) * band)
         assert len(seen) == dim * dim + 1 + 4 + drawn
         assert all(np.array_equal(a, b) for a, b in zip(seen[-drawn:], probes[:drawn]))
@@ -434,7 +434,7 @@ class TestKeptProbeBands:
     @pytest.mark.parametrize("count", [0, 1, 5, 32])
     def test_equal_a_fresh_band_stream(self, dim, count):
         seed = 40 + dim + count
-        rng, step = RNG(seed), ef._band_length(dim)
+        rng, step = RNG(seed), max(1, ef._BAND_CELLS // (dim * dim))
         want = [random_hermitian_stack(dim, rng, min(step, count - start))
                 for start in range(0, count, step)]
         got = ef._kept_probe_bands(dim, seed, count)
@@ -652,7 +652,7 @@ class TestCheckLinearity:
             ef._canonical_band(dim)[i:i + 1].tobytes() for i in (2, 0, 1)]
         counts = {"unrestricted": 0, "commuting": 0}
         for combined, r, s in groups:
-            assert len(r) <= ef._band_length(dim)
+            assert len(r) <= max(1, ef._BAND_CELLS // (dim * dim))
             if all(frobenius(x @ y - y @ x) <= 1e-12 * frobenius(x) * frobenius(y)
                    for x, y in zip(r, s)):
                 kind, low = "commuting", 0.0
@@ -688,7 +688,7 @@ class TestCheckLinearity:
     def test_verdicts_across_bands_of_eight(self, trials):
         # a 32 x 32 band holds 8 operators, so these counts end a band early,
         # exactly, one past and two bands past
-        assert ef._band_length(32) == 8
+        assert list(ef._bands(32, 20)) == [(0, 8), (8, 16), (16, 20)]
         trace = check_linearity(trace_functional(DensityMatrix.random(32, RNG(trials))),
                                 trials, seed=trials)
         assert not trace.unrestricted_exceeds_tol and not trace.commuting_exceeds_tol
