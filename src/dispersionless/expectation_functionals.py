@@ -28,7 +28,6 @@ from .operator_core import (
     _require_integer,
     _require_tol,
     as_hermitian,
-    as_hermitian_stack,
     eigendecompose,
     identity,
     matrix_to_json,
@@ -262,11 +261,13 @@ class ExpectationFunctional:
     counterexamples, and hidden-parameter subensemble assignments, so they
     can all be fed to the same reconstruction and linearity checks.
     ``evaluate`` maps one HermitianOperator to a real number;
-    ``evaluate_stack`` maps a validated (k, dim, dim) complex array to its
-    k real values.  A functional takes exactly one of the two, and
-    evaluates one operator as a band of one.  A band given to
-    ``evaluate_stack`` may be read-only (reconstruction reuses its probe
-    bands); ``evaluate`` gets a copy of each slice as a HermitianOperator.
+    ``evaluate_stack`` maps a (k, dim, dim) complex array of Hermitian
+    matrices to its k real values.  A functional takes exactly one of the
+    two.  Calling it validates one operator and evaluates it as a band of
+    one; reconstruction and the linearity check hand the formula the
+    bands they built, unchecked.  A band given to ``evaluate_stack`` may
+    be read-only (reconstruction reuses its probe bands); ``evaluate``
+    gets a copy of each slice as a HermitianOperator, validated.
     """
 
     __slots__ = ("dim", "_evaluate_stack")
@@ -281,22 +282,13 @@ class ExpectationFunctional:
                 return [float(evaluate(HermitianOperator(m))) for m in stack]
         self._evaluate_stack = evaluate_stack
 
-    def _require_dim(self, dim: int):
-        if dim != self.dim:
-            raise ValidationError(
-                f"operator dimension {dim} does not match functional dimension {self.dim}"
-            )
-
     def __call__(self, op) -> float:
         op = as_hermitian(op)
-        self._require_dim(op.dim)
+        if op.dim != self.dim:
+            raise ValidationError(
+                f"operator dimension {op.dim} does not match functional dimension {self.dim}"
+            )
         return float(self._evaluate_stack(op.matrix[None])[0])
-
-    def values(self, stack) -> np.ndarray:
-        """The functional on each slice of a (k, dim, dim) band of Hermitian matrices."""
-        stack = as_hermitian_stack(stack)
-        self._require_dim(stack.shape[1])
-        return np.asarray(self._evaluate_stack(stack), dtype=np.float64)
 
     def __repr__(self):
         return f"ExpectationFunctional(dim={self.dim})"
@@ -310,6 +302,11 @@ def trace_functional(u) -> ExpectationFunctional:
     """
     op = u.operator if isinstance(u, DensityMatrix) else as_hermitian(u)
     return _trace_form(op.matrix)
+
+
+def _band_values(f: ExpectationFunctional, band: np.ndarray) -> np.ndarray:
+    # f on each slice of a Hermitian (k, f.dim, f.dim) band the package built, unchecked
+    return np.asarray(f._evaluate_stack(band), dtype=np.float64)
 
 
 def _trace_form(u: np.ndarray) -> ExpectationFunctional:
@@ -471,12 +468,7 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
     # the seed is a cache key: a Generator would replay its first draws
     _require_integer("seed", seed, 0)
     dim = f.dim
-
-    def evaluate(band):
-        # the bands built here are Hermitian, so none is checked again
-        return np.asarray(f._evaluate_stack(band), dtype=np.float64)
-
-    values = np.concatenate([evaluate(band) for band in _basis_bands(dim)])
+    values = np.concatenate([_band_values(f, band) for band in _basis_bands(dim)])
     try:
         norm_value = f(HermitianOperator(identity(dim)))
         if not abs(norm_value - 1.0) <= lin_tol:
@@ -504,7 +496,7 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
                 yield from _probe_bands(dim, seed, probe_count)
 
         for band in probes():
-            lhs, rhs = evaluate(band), form._evaluate_stack(band)
+            lhs, rhs = _band_values(f, band), _band_values(form, band)
             failed = ~(np.abs(lhs - rhs) <= lin_tol)
             if failed.any():
                 first = int(np.argmax(failed))
@@ -541,9 +533,9 @@ class LinearityReport:
 def _max_deviation(f, r, s, a, b) -> float:
     # the largest |f(a r + b s) - a f(r) - b f(s)| over one band of trials:
     # (k, d, d) operator bands r and s, length-k weight arrays a and b
-    combined = f.values(r * a[:, None, None] + s * b[:, None, None])
+    combined = _band_values(f, r * a[:, None, None] + s * b[:, None, None])
     # np.max, unlike max, keeps a NaN deviation
-    return float(np.max(np.abs(combined - a * f.values(r) - b * f.values(s))))
+    return float(np.max(np.abs(combined - a * _band_values(f, r) - b * _band_values(f, s))))
 
 
 def check_linearity(

@@ -723,9 +723,11 @@ all steps hold: jointly measurable quantities must commute
     @pytest.mark.parametrize("density, argv, message", [
         ('{"dim": 1.5, "entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
          "matrix JSON 'dim' must be an integer, got 1.5"),
+        ('{"entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
+         "matrix JSON 'dim' is missing"),
         (None, ("reconstruct", "--functional", "maxeig", "--dim", "0"),
          "functional dimension must be at least 1"),
-    ], ids=["float-density-dim", "maxeig-dim-zero"])
+    ], ids=["float-density-dim", "missing-density-dim", "maxeig-dim-zero"])
     def test_integer_refusal_texts(self, capsys, tmp_path, density, argv, message, fmt):
         # the library's one integer rule, as the command line prints it
         path = tmp_path / "dim.json"
@@ -1064,7 +1066,7 @@ class TestReconstructTranscript:
 
         def evaluate_stack(stack):
             calls.extend(m.tobytes() for m in stack)
-            return inner.values(stack)
+            return inner._evaluate_stack(stack)
 
         counting = ExpectationFunctional(3, evaluate_stack=evaluate_stack)
         monkeypatch.setattr(cli, "functional_from_spec", lambda spec, dim: (counting, spec))
@@ -1219,17 +1221,20 @@ class TestExtremeScales:
         assert (data["passed"], data["error"]["type"]) == (False, "ExprEvalError")
         assert "matrix is not Hermitian (deviation 1.414e+200)" in data["error"]["message"]
 
-    # m - m* holds +-inf here, and numpy warns about that subtraction
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_non_hermitian_matrix_refused_when_its_deviation_overflows(self, capsys, tmp_path, fmt):
+        # m - m* would hold +-inf; it is formed only on the scaled copy, so
+        # numpy writes no overflow warning, which this suite turns into an error
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"dim": 2, "entries": [[[0, 0], [1.5e308, 0]],
                                                           [[-1.5e308, 0], [0, 0]]]}))
         code, out, err = run(capsys, "spectrum", "--expr", f"@{path}", "--format", fmt)
         assert code == 2
-        message = err if fmt == "text" else json.loads(out)["error"]["message"]
-        assert "matrix is not Hermitian" in message
+        if fmt == "text":
+            assert out == "" and "matrix is not Hermitian (deviation inf)" in err
+            return
+        assert err == ""
+        assert "matrix is not Hermitian (deviation inf)" in json.loads(out)["error"]["message"]
 
     def test_large_hermitian_file_kept(self, capsys, tmp_path):
         path = tmp_path / "m.json"

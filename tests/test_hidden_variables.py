@@ -512,7 +512,7 @@ class TestSubensembleFunctional:
         ]
         for band in bands:
             expected = [reference_assignment(phi, lam, m) for m in band]
-            assert f.values(band).tolist() == expected
+            assert np.asarray(f._evaluate_stack(band), dtype=float).tolist() == expected
             assert [f(m) for m in band] == expected
             assert [assign_value(phi, lam, m) for m in band] == expected
 

@@ -21,7 +21,6 @@ from dispersionless.operator_core import (
     SIGMA_Z,
     ValidationError,
     apply_function,
-    as_hermitian_stack,
     as_square_matrix,
     commutator_norm,
     commutator_within_tol,
@@ -84,16 +83,11 @@ class TestValidation:
         deviation = np.linalg.norm(m - m.conj().T)
         threshold = HERM_TOL * max(1.0, np.linalg.norm(m))
         assert abs(deviation / threshold - factor) < 1e-3
-        # the same rule holds for each slice of a band
-        band = np.stack([h, m, -h])
         if factor > 1:
             with pytest.raises(ValidationError, match="not Hermitian"):
                 HermitianOperator(m)
-            with pytest.raises(ValidationError, match="not Hermitian"):
-                as_hermitian_stack(band)
         else:
             assert HermitianOperator(m).dim == 3
-            assert as_hermitian_stack(band) is band
 
     @pytest.mark.parametrize("bad", [
         [[0, 1e200], [0, 0]],
@@ -122,33 +116,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="not Hermitian"):
             HermitianOperator(scale * (h + 1e-9 * defect))
 
-    def test_band_decided_per_matrix_when_squares_overflow(self):
-        # one matrix's squares overflow; the others keep their own scale, so a
-        # unit-scale defect is still found and a 1e-11 one is still forgiven
-        big = 1e200 * SIGMA_X
-        tiny_defect = np.array([[0, 1e-11], [0, 0]], dtype=complex)
-        assert as_hermitian_stack(np.stack([big, tiny_defect])) is not None
-        with pytest.raises(ValidationError, match=r"deviation 1\.414e-01"):
-            as_hermitian_stack(np.stack([big, SIGMA_Z + [[0, 0.1], [0, 0]]]))
-
     @pytest.mark.parametrize("bad", [
-        [[0, 1], [0, 0]],
-        [[1, 2j], [2j, 1]],
         [[1, np.nan], [np.nan, 1]],
         [[np.inf, 0], [0, 1]],
-    ], ids=["upper", "imaginary", "nan", "inf"])
-    def test_band_errors_match_single_operator(self, bad):
-        with pytest.raises(ValidationError) as single:
+        [[1, complex(0, -np.inf)], [complex(0, np.inf), 1]],
+        [[1e300, np.nan], [np.nan, 1e300]],
+    ], ids=["nan", "inf", "imaginary-inf", "nan-beside-overflow"])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
             HermitianOperator(bad)
-        band = np.stack([SIGMA_X, SIGMA_Z, np.array(bad, dtype=complex), SIGMA_Y, 2 * SIGMA_X])
-        with pytest.raises(ValidationError) as banded:
-            as_hermitian_stack(band)
-        assert str(banded.value) == str(single.value)
-
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (0, 2, 2, 2), (2, 0, 0)])
-    def test_band_shape_enforced(self, shape):
-        with pytest.raises(ValidationError, match="stack"):
-            as_hermitian_stack(np.zeros(shape))
 
     def test_accepts_hermitian_with_complex_entries(self):
         op = HermitianOperator([[2, 1 - 1j], [1 + 1j, 3]])
@@ -185,6 +161,14 @@ class TestRandomHermitian:
         got = random_hermitian_stack(dim, RNG(seed), count)
         assert got.dtype == np.complex128 and got.shape == (count, dim, dim)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, dim, count", [
+        ("count", 2, -1), ("count", 2, 2.5), ("count", 2, True),
+        ("dimension", 0, 3), ("dimension", 2.5, 3),
+    ])
+    def test_refuses_bad_arguments(self, name, dim, count):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            random_hermitian_stack(dim, RNG(0), count)
 
 
 class TestEigendecompose:
