@@ -19,10 +19,12 @@ import sys
 import numpy as np
 
 from .expectation_functionals import (
+    AdditivityViolation,
     DensityMatrix,
     ExpectationFunctional,
     FunctionalViolation,
     LIN_TOL,
+    NormalizationViolation,
     PureState,
     _basis_bands,
     _reconstruct,
@@ -214,9 +216,24 @@ def _json_rows(columns: dict[str, np.ndarray]) -> str:
 
 def _hv_demo_json(report) -> str:
     """_dumps of the hv-demo payload, with the "pairs" rows written from the report's columns."""
-    header = _dumps(_payload("hv-demo", passed=True, **report.to_json(pairs=False)))
+    header = _dumps(_payload(
+        "hv-demo", passed=True, phi=[[float(z.real), float(z.imag)] for z in report.phi.vector],
+        pairs=[], avg_delta=report.avg_delta, violation_fraction=report.violation_fraction,
+    ))
+    columns = {"lambda": report.lambdas, "vR": report.values_r, "vS": report.values_s,
+               "vRplusS": report.values_sum, "delta": report.deltas}
     # a quote inside a JSON string is escaped, so this is the top-level key
-    return header.replace('"pairs": []', '"pairs": ' + _json_rows(report.columns), 1)
+    return header.replace('"pairs": []', '"pairs": ' + _json_rows(columns), 1)
+
+
+def _verdict_json(exc: FunctionalViolation) -> dict:
+    """The reconstruct verdict object, from the violation's own attributes."""
+    if isinstance(exc, AdditivityViolation):
+        return {"kind": exc.kind, "probe": matrix_to_json(exc.probe.matrix),
+                "lhs": exc.lhs, "rhs": exc.rhs, "delta": exc.delta}
+    if isinstance(exc, NormalizationViolation):
+        return {"kind": exc.kind, "trace": exc.value}
+    return {"kind": exc.kind, "min_eigenvalue": exc.eigenvalue}
 
 
 def _emit(output_format: str, payload: dict, lines: list[str]):
@@ -354,13 +371,13 @@ def cmd_reconstruct(args) -> int:
     try:
         values, density = _reconstruct(functional, args.trials, seed, args.lin_tol)
     except FunctionalViolation as exc:
-        values, passed, result = exc.values, False, {"verdict": exc.to_json()}
+        values, violation = exc.values, exc
         lines = [
             f"functional {label}: {exc}",
             "no density matrix reproduces this functional",
         ]
     else:
-        passed, result = True, {"density": density.to_json()}
+        violation = None
         lines = [
             f"functional {label} is normalized, positive, and additive;",
             "recovered the density matrix of its trace form:",
@@ -370,11 +387,12 @@ def cmd_reconstruct(args) -> int:
         # the transcript: each basis element beside the functional's value on it
         probes = [p for band in _basis_bands(functional.dim) for p in matrices_to_json(band)]
         transcript = [{"probe": p, "value": v} for p, v in zip(probes, values.tolist())]
-        lines = [_dumps(_payload(
-            "reconstruct", passed=passed, functional=label, transcript=transcript, **result,
-        ))]
+        result = ({"density": matrix_to_json(density.matrix)} if violation is None
+                  else {"verdict": _verdict_json(violation)})
+        lines = [_dumps(_payload("reconstruct", passed=violation is None, functional=label,
+                                 transcript=transcript, **result))]
     print("\n".join(lines))
-    return EXIT_OK if passed else EXIT_FAIL
+    return EXIT_OK if violation is None else EXIT_FAIL
 
 
 def cmd_dispersion_witness(args) -> int:
@@ -408,7 +426,7 @@ def cmd_jointmeas(args) -> int:
     lines = [
         f"A = {args.a}",
         f"B = {args.b}",
-        f"verdict: {verdict.verdict}",
+        f"verdict: {'' if verdict.jointly_measurable else 'not '}jointly measurable",
         f"commutator norm: {_fmt(verdict.commutator_norm)}",
     ]
     if verdict.jointly_measurable:
@@ -540,8 +558,9 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
-        return args.handler(args)
-    except (ExprError, CliInputError, ValidationError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args)
+    except (ExprError, CliInputError, ValidationError, FloatingPointError) as exc:
         return _emit_error(args.output_format, args.command, exc, EXIT_USAGE)
 
 

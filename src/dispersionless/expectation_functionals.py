@@ -30,7 +30,6 @@ from .operator_core import (
     as_hermitian,
     eigendecompose,
     identity,
-    matrix_to_json,
     random_hermitian_stack,
 )
 
@@ -53,9 +52,6 @@ class FunctionalViolation(Exception):
 
     kind = "violation"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
 
 class NormalizationViolation(FunctionalViolation):
     """The functional is not normalized: its value on the identity is not 1."""
@@ -67,9 +63,6 @@ class NormalizationViolation(FunctionalViolation):
         super().__init__(
             f"functional violates A': value on the identity is {self.value!r}, not 1"
         )
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "trace": self.value}
 
 
 class PositivityViolation(FunctionalViolation):
@@ -83,9 +76,6 @@ class PositivityViolation(FunctionalViolation):
             "functional violates A': reconstructed state has negative "
             f"eigenvalue {self.eigenvalue!r}"
         )
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "min_eigenvalue": self.eigenvalue}
 
 
 class AdditivityViolation(FunctionalViolation):
@@ -105,15 +95,6 @@ class AdditivityViolation(FunctionalViolation):
     @property
     def delta(self) -> float:
         return self.lhs - self.rhs
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "probe": matrix_to_json(self.probe.matrix),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "delta": self.delta,
-        }
 
 
 class PureState:
@@ -246,9 +227,6 @@ class DensityMatrix:
     @property
     def spectrum(self) -> Spectrum:
         return self._spectrum
-
-    def to_json(self) -> dict:
-        return matrix_to_json(self.matrix)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"

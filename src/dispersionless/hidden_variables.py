@@ -200,12 +200,6 @@ class SubensembleReport:
         return self.values_sum - self.values_r - self.values_s
 
     @property
-    def columns(self) -> dict[str, np.ndarray]:
-        """Each per-parameter column under its key in the JSON "pairs" rows."""
-        return {"lambda": self.lambdas, "vR": self.values_r, "vS": self.values_s,
-                "vRplusS": self.values_sum, "delta": self.deltas}
-
-    @property
     def samples(self) -> tuple[LambdaSample, ...]:
         columns = (self.lambdas, self.values_r, self.values_s, self.values_sum)
         return tuple(LambdaSample(*row) for row in zip(*(c.tolist() for c in columns)))
@@ -219,21 +213,6 @@ class SubensembleReport:
         scale = np.abs(self.values_r) + np.abs(self.values_s) + np.abs(self.values_sum)
         bad = np.count_nonzero(np.abs(self.deltas) > DELTA_TOL * scale)
         return float(bad / max(self.lambdas.size, 1))  # 0.0 for an empty lambda list
-
-    def to_json(self, pairs: bool = True) -> dict:
-        """The report as a JSON object, with one "pairs" row per parameter value.
-
-        With pairs=False the "pairs" list is left empty, for a writer that
-        renders the rows from ``columns`` itself.
-        """
-        columns = self.columns if pairs else {}
-        rows = zip(*(c.tolist() for c in columns.values()))
-        return {
-            "phi": [[float(z.real), float(z.imag)] for z in self.phi.vector],
-            "pairs": [dict(zip(columns, row)) for row in rows],
-            "avg_delta": self.avg_delta,
-            "violation_fraction": self.violation_fraction,
-        }
 
 
 def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleReport:

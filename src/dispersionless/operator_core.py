@@ -7,6 +7,7 @@ Hermitian eigensolver called through numpy.linalg.eigh.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -322,6 +323,10 @@ def matrix_from_json(obj) -> np.ndarray:
     if "dim" not in obj:
         raise ValidationError("matrix JSON 'dim' is missing")
     dim, entries = obj["dim"], obj.get("entries")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        # in the file's own spelling (true, null, "2"), not Python's
+        raise ValidationError(
+            f"matrix JSON 'dim' must be an integer, got {json.dumps(dim, default=repr)}")
     _require_integer("matrix JSON 'dim'", dim, 1)
     if not isinstance(entries, Sequence) or len(entries) != dim:
         raise ValidationError("matrix JSON 'entries' must have exactly 'dim' rows")
@@ -329,4 +334,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if not isinstance(row, Sequence) or len(row) != dim:
             raise ValidationError("matrix JSON rows must each have exactly 'dim' cells")
     cells = [cell for row in entries for cell in row]
-    return as_square_matrix(complex_from_pairs(cells, "matrix").reshape(dim, dim))
+    # square, complex128 and of dimension at least 1 already: only finiteness is left
+    m = complex_from_pairs(cells, "matrix").reshape(dim, dim)
+    _require_finite(m)
+    return m

@@ -274,10 +274,6 @@ class JointMeasurabilityVerdict:
     square_product_deficit_norm: float
     generator: CommonGenerator | None
 
-    @property
-    def verdict(self) -> str:
-        return "jointly measurable" if self.jointly_measurable else "not jointly measurable"
-
 
 def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabilityVerdict:
     """Decide joint measurability of two Hermitian operators.

@@ -40,6 +40,7 @@ from dispersionless.operator_core import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    as_square_matrix,
     frobenius,
     identity,
     matrix_to_json,
@@ -479,13 +480,13 @@ all steps hold: jointly measurable quantities must commute
         _, json_out, _ = run(capsys, *argv, "--format", "json")
         report = hidden_variables.additivity_violation_report(
             PureState.from_label("x+"), SIGMA_Z, SIGMA_X, hidden_variables.lambda_grid(5))
-        expected = {"schema": 1, "command": "hv-demo", "passed": True, **report.to_json()}
+        expected = hv_demo_payload(report)
         assert json_out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
-        def refuse(self):
+        def refuse(report):
             raise AssertionError("text mode built the JSON payload")
 
-        monkeypatch.setattr(hidden_variables.SubensembleReport, "to_json", refuse)
+        monkeypatch.setattr(cli, "_hv_demo_json", refuse)
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert "over 5 lambda points:" in out
@@ -725,9 +726,15 @@ all steps hold: jointly measurable quantities must commute
          "matrix JSON 'dim' must be an integer, got 1.5"),
         ('{"entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
          "matrix JSON 'dim' is missing"),
+        # a file's value is named as JSON spells it, not as Python does
+        ('{"dim": true, "entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
+         "matrix JSON 'dim' must be an integer, got true"),
+        ('{"dim": null, "entries": [[[1, 0]]]}', ("dispersion-witness", "--density", "@{path}"),
+         "matrix JSON 'dim' must be an integer, got null"),
         (None, ("reconstruct", "--functional", "maxeig", "--dim", "0"),
          "functional dimension must be at least 1"),
-    ], ids=["float-density-dim", "missing-density-dim", "maxeig-dim-zero"])
+    ], ids=["float-density-dim", "missing-density-dim", "true-density-dim", "null-density-dim",
+            "maxeig-dim-zero"])
     def test_integer_refusal_texts(self, capsys, tmp_path, density, argv, message, fmt):
         # the library's one integer rule, as the command line prints it
         path = tmp_path / "dim.json"
@@ -743,6 +750,22 @@ all steps hold: jointly measurable quantities must commute
             "schema": 1, "command": argv[0], "passed": False,
             "error": {"type": "ValidationError", "message": message},
         }
+
+    def test_matrix_file_coerced_once(self, capsys, monkeypatch, tmp_path):
+        # matrix_from_json hands over a square complex128 array, which only
+        # the HermitianOperator built from it coerces and copies
+        path = write_density(tmp_path, np.diag([0.25, 0.75]))
+        calls = []
+
+        def counting(entries):
+            calls.append(1)
+            return as_square_matrix(entries)
+
+        monkeypatch.setattr(operator_core, "as_square_matrix", counting)
+        code, out, err = run(capsys, "spectrum", "--expr", f"@{path}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eigenvalues"] == [0.25, 0.75]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ("reconstruct", "--functional", "hv:z+:0.3", "--lin-tol", "nan"),
@@ -954,8 +977,16 @@ class TestReconstructOptions:
 
 
 def hv_demo_payload(report) -> dict:
-    """The hv-demo JSON payload with the rows of SubensembleReport.to_json."""
-    return {"schema": 1, "command": "hv-demo", "passed": True, **report.to_json()}
+    """The hv-demo JSON payload, one row object per parameter value, from the report's arrays."""
+    keys = ("lambda", "vR", "vS", "vRplusS", "delta")
+    columns = (report.lambdas, report.values_r, report.values_s, report.values_sum, report.deltas)
+    return {
+        "schema": 1, "command": "hv-demo", "passed": True,
+        "phi": [[float(z.real), float(z.imag)] for z in report.phi.vector],
+        "pairs": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
+        "avg_delta": report.avg_delta,
+        "violation_fraction": report.violation_fraction,
+    }
 
 
 class TestHvDemoRows:
@@ -1235,6 +1266,31 @@ class TestExtremeScales:
             return
         assert err == ""
         assert "matrix is not Hermitian (deviation inf)" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("jointmeas", "--a", "1e150*SX", "--b", "1e150*SY"),
+        ("jointmeas", "--a", "1e200*SX", "--b", "1e200*SY"),
+        ("hv-demo", "--phi", "x+", "--a", "1e300*SX", "--b", "1e300*SZ"),
+        ("spectrum", "--expr", "sq(1e200*SZ)"),
+    ], ids=["jointmeas-1e150", "jointmeas-1e200", "hv-demo-1e300", "spectrum-sq-1e200"])
+    def test_overflow_refused(self, capsys, argv, fmt):
+        # a floating-point overflow while a command runs refuses the input,
+        # instead of a report of Infinity and NaN beside numpy's warnings
+        state = np.geterr()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert np.geterr() == state
+        assert code == 2
+        if fmt == "text":
+            assert out == "" and err.startswith("error: overflow encountered in ")
+            assert err.count("\n") == 1
+            return
+        assert err == ""
+        data = json.loads(out)
+        message = data["error"]["message"]
+        assert data == {"schema": 1, "command": argv[0], "passed": False,
+                        "error": {"type": "FloatingPointError", "message": message}}
+        assert message.startswith("overflow encountered in ")
 
     def test_large_hermitian_file_kept(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -6,6 +6,7 @@ eigenvalue nonadditivity of the Pauli pair (max eigenvalue of sx + sy is
 sqrt(2), not 2).
 """
 
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import dispersionless.expectation_functionals as ef
+from dispersionless.cli import run_command
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
     DEFAULT_PROBE_COUNT,
@@ -423,10 +425,9 @@ class TestReconstruction:
         assert np.array_equal(exc.value.probe.matrix, identity(2))
         assert exc.value.lhs == 1.0 and math.isnan(exc.value.rhs)
 
-    def test_additivity_violation_json(self):
-        with pytest.raises(AdditivityViolation) as exc:
-            reconstruct_density(max_eigenvalue_functional(2))
-        obj = exc.value.to_json()
+    def test_additivity_violation_json(self, capsys):
+        assert run_command(["reconstruct", "--functional", "maxeig", "--format", "json"]) == 1
+        obj = json.loads(capsys.readouterr().out)["verdict"]
         assert obj["kind"] == "b-prime-violation"
         assert obj["probe"]["dim"] == 2
         assert abs(obj["delta"] - (obj["lhs"] - obj["rhs"])) == 0.0

@@ -6,6 +6,7 @@ hand-worked outcome tables for the structured examples, and readout rules
 applied to outcomes for functional composition.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dispersionless import hidden_variables
+from dispersionless import cli, hidden_variables
 
 from dispersionless.expectation_functionals import (
     AdditivityViolation,
@@ -378,8 +379,9 @@ class TestAdditivityReport:
         report = additivity_violation_report(
             Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), lambda_grid(4)
         )
-        obj = report.to_json()
-        assert set(obj) == {"phi", "pairs", "avg_delta", "violation_fraction"}
+        obj = json.loads(cli._hv_demo_json(report))
+        assert set(obj) == {"schema", "command", "passed", "phi", "pairs", "avg_delta",
+                            "violation_fraction"}
         assert obj["phi"] == [[1.0, 0.0], [0.0, 0.0]]
         assert len(obj["pairs"]) == 4
         assert set(obj["pairs"][0]) == {"lambda", "vR", "vS", "vRplusS", "delta"}
@@ -390,7 +392,7 @@ class TestAdditivityReport:
         phi = random_qubit_state(rng)
         r, s = random_hermitian(2, rng), random_hermitian(2, rng)
         report = additivity_violation_report(phi, r, s, rng.uniform(-0.5, 0.5, size=57))
-        pairs = report.to_json()["pairs"]
+        pairs = json.loads(cli._hv_demo_json(report))["pairs"]
         assert len(pairs) == len(report.samples) == 57
         for pair, sample, delta in zip(pairs, report.samples, report.deltas.tolist()):
             assert pair == {"lambda": sample.lam, "vR": sample.value_r, "vS": sample.value_s,
@@ -403,13 +405,13 @@ class TestAdditivityReport:
         report = additivity_violation_report(
             Z_PLUS, HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y), lams
         )
-        before = report.to_json()
+        before = cli._hv_demo_json(report)
         for column in (report.lambdas, report.values_r, report.values_s, report.values_sum):
             with pytest.raises(ValueError):
                 column[0] = 0.0
         lams[:] = 0.0
         assert report.lambdas.tolist() == [-0.5, -0.1, 0.2, 0.5]
-        assert report.to_json() == before
+        assert cli._hv_demo_json(report) == before
 
     def test_empty_lambda_list(self):
         report = additivity_violation_report(
@@ -417,7 +419,7 @@ class TestAdditivityReport:
         )
         assert report.violation_fraction == 0.0
         assert report.samples == ()
-        assert report.to_json()["pairs"] == []
+        assert json.loads(cli._hv_demo_json(report))["pairs"] == []
 
 
 def _violations(phi_label, r, s):

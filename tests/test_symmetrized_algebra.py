@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersionless import operator_core, symmetrized_algebra
+from dispersionless.cli import run_command
 from dispersionless.ncpoly import NcPolynomial, _evaluate, evaluate_nc, symmetrized_product
 from dispersionless.operator_core import (
     FunctionDomainError,
@@ -412,12 +413,14 @@ class TestCommonGenerator:
 
 
 class TestJointMeasurability:
-    def test_commuting_diagonal_pair(self):
+    def test_commuting_diagonal_pair(self, capsys):
         verdict = joint_measurability_witness(
             HermitianOperator(SIGMA_Z), HermitianOperator(np.diag([3.0, 7.0]))
         )
         assert verdict.jointly_measurable
-        assert verdict.verdict == "jointly measurable"
+        # the same pair on the command line, diag(3, 7) = 5 I - 2 SZ
+        assert run_command(["jointmeas", "--a", "SZ", "--b", "5*I - 2*SZ"]) == 0
+        assert "verdict: jointly measurable" in capsys.readouterr().out.splitlines()
         assert verdict.generator is not None
         r2, s2 = verdict.generator.reconstruct()
         assert frobenius(r2.matrix - SIGMA_Z) <= 1e-9
