@@ -243,9 +243,14 @@ class ExpectationFunctional:
     matrices to its k real values.  A functional takes exactly one of the
     two.  Calling it validates one operator and evaluates it as a band of
     one; reconstruction and the linearity check hand the formula the
-    bands they built, unchecked.  A band given to ``evaluate_stack`` may
-    be read-only (reconstruction reuses its probe bands); ``evaluate``
-    gets a copy of each slice as a HermitianOperator, validated.
+    bands they built, unchecked, each of at most 8192 cells; the bands of
+    one sweep of the Hermitian basis share one buffer.  A band given to
+    ``evaluate_stack`` may be read-only (reconstruction reuses its probe
+    bands, and the basis bands are read-only views) and is valid only
+    during the call: the next basis band overwrites the last.  The
+    formula must return k values, one per slice, or a ValidationError is
+    raised.  ``evaluate`` gets a copy of each slice as a
+    HermitianOperator, validated.
     """
 
     __slots__ = ("dim", "_evaluate_stack")
@@ -266,7 +271,7 @@ class ExpectationFunctional:
             raise ValidationError(
                 f"operator dimension {op.dim} does not match functional dimension {self.dim}"
             )
-        return float(self._evaluate_stack(op.matrix[None])[0])
+        return float(_band_values(self, op.matrix[None])[0])
 
     def __repr__(self):
         return f"ExpectationFunctional(dim={self.dim})"
@@ -283,8 +288,15 @@ def trace_functional(u) -> ExpectationFunctional:
 
 
 def _band_values(f: ExpectationFunctional, band: np.ndarray) -> np.ndarray:
-    # f on each slice of a Hermitian (k, f.dim, f.dim) band the package built, unchecked
-    return np.asarray(f._evaluate_stack(band), dtype=np.float64)
+    # f on each slice of a Hermitian (k, f.dim, f.dim) band the package built,
+    # unchecked; the formula's output must hold one value per slice
+    values = np.asarray(f._evaluate_stack(band), dtype=np.float64)
+    if values.shape != band.shape[:1]:
+        raise ValidationError(
+            f"a band formula returned values of shape {values.shape} for a band "
+            f"of shape {band.shape}; expected shape ({len(band)},)"
+        )
+    return values
 
 
 def _trace_form(u: np.ndarray) -> ExpectationFunctional:
@@ -332,34 +344,46 @@ def _bands(dim: int, count: int):
 
 @functools.lru_cache(maxsize=8)
 def _basis_scatter(dim: int):
-    # the d^2 basis elements in hermitian_basis order as scatter targets:
-    # element e sets flat cell above[e] of its own d x d slot of a band to
-    # upper[e] and cell below[e] to lower[e] (the same cell on the
-    # diagonal).  Building them takes 50-70 us on a 2-vCPU x86_64 VM, 14-22 %
-    # of a d <= 8 reconstruction, so the last 8 dimensions keep theirs:
-    # 48 d^2 bytes each, 49 KB at d = 32.
+    # the sweep of the d^2 basis elements in hermitian_basis order: the
+    # length of its longest band, the index pairs (rows, cols) of the cross
+    # terms, and the elements as scatter targets: element e sets flat cell
+    # above[e] of its own d x d slot of its band to upper[e] and cell below[e]
+    # to lower[e] (the same cell on the diagonal).  Building them takes
+    # 50-70 us on a 2-vCPU x86_64 VM, 14-22 % of a d <= 8 reconstruction, so
+    # the last 8 dimensions keep theirs: 56 d^2 bytes each, 57 KB at d = 32.
+    cells = dim * dim
+    # bands start at multiples of the first one's length
+    _, step = next(_bands(dim, cells))
     rows, cols = np.triu_indices(dim, 1)
     m = np.concatenate([np.arange(dim), np.repeat(rows, 2)])
     n = np.concatenate([np.arange(dim), np.repeat(cols, 2)])
-    slot = np.arange(dim * dim) * (dim * dim)
+    slot = np.arange(cells) % step * cells
     upper = np.concatenate([np.ones(dim), np.tile([1.0, 1.0j], len(rows))])
     lower = np.concatenate([np.ones(dim), np.tile([1.0, -1.0j], len(rows))])
     scatter = slot + m * dim + n, upper, slot + n * dim + m, lower
-    for part in scatter:
+    for part in (rows, cols, *scatter):
         part.flags.writeable = False
-    return scatter
+    return step, rows, cols, scatter
 
 
 def _basis_bands(dim: int):
-    # hermitian_basis order, one (k, dim, dim) band at a time
+    # hermitian_basis order, one read-only (k, dim, dim) band at a time.  Every
+    # band is a view of one buffer: drawing the next band clears the last
+    # one's cells and writes its own, so a band, and any view of it, is valid
+    # only until the next one is drawn
     _require_integer("dimension", dim, 1)
-    above, upper, below, lower = _basis_scatter(dim)
-    cells = dim * dim
-    for start, end in _bands(dim, cells):
-        band = np.zeros((end - start, dim, dim), dtype=np.complex128)
-        flat = band.reshape(-1)
-        flat[above[start:end] - start * cells] = upper[start:end]
-        flat[below[start:end] - start * cells] = lower[start:end]
+    step, _, _, (above, upper, below, lower) = _basis_scatter(dim)
+    buffer = np.zeros((step, dim, dim), dtype=np.complex128)
+    flat = buffer.reshape(-1)
+    last = slice(0)
+    for start, end in _bands(dim, dim * dim):
+        flat[above[last]] = 0.0
+        flat[below[last]] = 0.0
+        last = slice(start, end)
+        flat[above[last]] = upper[last]
+        flat[below[last]] = lower[last]
+        band = buffer[:end - start]
+        band.flags.writeable = False
         yield band
 
 
@@ -425,15 +449,16 @@ def reconstruct_density(
 
     The basis and the probes are Hermitian by construction and go to the
     functional's band formula unchecked, in bands of at most
-    ``_BAND_CELLS`` cells; a band is evaluated only when every earlier
-    probe passed.  The random probes are drawn only after the identity and
-    the triple pass: within a budget of ``4 * _BAND_CELLS`` cells the
-    first call for a (dim, seed, probe_count) draws all of their bands and
-    later calls reuse them, read-only; above it each band is drawn when it
-    is reached.  A NaN value fails its check, and a NaN basis value the
-    first probe that reads it.  Raises ValidationError unless lin_tol is
-    finite and positive and probe_count and seed are non-negative integers:
-    a bool, a float, a sequence or a Generator seed is refused.
+    ``_BAND_CELLS`` cells; the basis bands share one buffer, and a probe
+    band is evaluated only when every earlier probe passed.  The random
+    probes are drawn only after the identity and the triple pass: within
+    a budget of ``4 * _BAND_CELLS`` cells the first call for a (dim, seed,
+    probe_count) draws all of their bands and later calls reuse them,
+    read-only; above it each band is drawn when it is reached.  A NaN
+    value fails its check, and a NaN basis value the first probe that
+    reads it.  Raises ValidationError unless lin_tol is finite and
+    positive and probe_count and seed are non-negative integers: a bool,
+    a float, a sequence or a Generator seed is refused.
     """
     return _reconstruct(f, probe_count, seed, lin_tol)[1]
 
@@ -446,14 +471,18 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
     # the seed is a cache key: a Generator would replay its first draws
     _require_integer("seed", seed, 0)
     dim = f.dim
-    values = np.concatenate([_band_values(f, band) for band in _basis_bands(dim)])
+    # each band's values are copied out before the next band overwrites it
+    values, start = np.empty(dim * dim), 0
+    for band in _basis_bands(dim):
+        values[start:start + len(band)] = _band_values(f, band)
+        start += len(band)
     try:
         norm_value = f(HermitianOperator(identity(dim)))
         if not abs(norm_value - 1.0) <= lin_tol:
             raise NormalizationViolation(norm_value)
 
         u = np.diag(values[:dim].astype(np.complex128))
-        rows, cols = np.triu_indices(dim, 1)
+        _, rows, cols, _ = _basis_scatter(dim)
         upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
         u[rows, cols] = upper
         u[cols, rows] = upper.conj()

@@ -1116,6 +1116,28 @@ class TestReconstructTranscript:
         assert [row["probe"] for row in transcript] == [matrix_to_json(op.matrix) for op in basis]
         assert [row["value"] for row in transcript] == [inner(op) for op in basis]
 
+    def test_transcript_across_several_bands(self, capsys, tmp_path):
+        # d = 16 sweeps the basis in 8 bands of one reused buffer
+        dim, u = 16, random_density(16, 7)
+        assert sum(1 for _ in cli._basis_bands(dim)) == 8
+        path = write_density(tmp_path, u, "rho16.json")
+        code, out, _ = run(capsys, "reconstruct", "--functional", f"trace:@{path}",
+                           "--format", "json")
+        assert code == 0
+        elements = [np.diag(np.eye(dim)[n]).astype(complex) for n in range(dim)]
+        for m in range(dim):
+            for n in range(m + 1, dim):
+                for above in (1.0, 1.0j):
+                    e = np.zeros((dim, dim), dtype=complex)
+                    e[m, n], e[n, m] = above, np.conj(above)
+                    elements.append(e)
+        transcript = json.loads(out)["transcript"]
+        assert len(transcript) == dim * dim
+        for row, e in zip(transcript, elements):
+            probe = np.array([[complex(*cell) for cell in r] for r in row["probe"]["entries"]])
+            assert np.array_equal(probe, e)
+            assert abs(row["value"] - np.trace(u @ e).real) <= 1e-12
+
     def test_text_renders_no_probe(self, capsys, monkeypatch, tmp_path):
         path = write_density(tmp_path, random_density(4, 5))
         for name in ("matrix_to_json", "matrices_to_json", "_basis_bands"):

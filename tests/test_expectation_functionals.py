@@ -169,10 +169,19 @@ class TestHermitianBasis:
         for k, (m, n, above, below) in enumerate(elements):
             expected[k, m, n] = above
             expected[k, n, m] = below
-        bands = list(ef._basis_bands(dim))
+        # each band is copied before the next one overwrites the shared buffer
+        bands = [band.copy() for band in ef._basis_bands(dim)]
         assert all(len(band) <= max(1, ef._BAND_CELLS // dim**2) for band in bands)
         # tobytes, unlike ==, tells -0.0 from 0.0
         assert np.concatenate(bands).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 32])
+    def test_bands_are_read_only(self, dim):
+        # a formula cannot write into the buffer the rest of the sweep reuses
+        for band in ef._basis_bands(dim):
+            assert not band.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                band[0, 0, 0] = 2.0
 
 
 class TestFunctionalDimension:
@@ -262,6 +271,29 @@ class TestReconstruction:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert frobenius(out.matrix - u0.matrix) <= 1e-10
+
+    def test_warm_sweep_holds_one_band(self):
+        # with the probes kept from a first call, the peak is about one band
+        # (128 KiB) and its temporaries, not the 16 MB of all d^2 elements
+        u0 = DensityMatrix.random(32, RNG(6))
+        f = trace_functional(u0)
+        reconstruct_density(f)
+        tracemalloc.start()
+        try:
+            out = reconstruct_density(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert frobenius(out.matrix - u0.matrix) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_formula_returning_views_into_its_band(self, dim):
+        # the values are copied out before the next basis band overwrites these
+        f = ExpectationFunctional(dim, evaluate_stack=lambda stack: stack[:, 0, 0].real)
+        expected = np.zeros((dim, dim), dtype=np.complex128)
+        expected[0, 0] = 1.0
+        assert np.array_equal(reconstruct_density(f).matrix, expected)
 
     def test_probe_sequence(self):
         # identity, the canonical triple, then the seeded draws, in that order
@@ -600,6 +632,23 @@ class TestStackEvaluation:
         with pytest.raises(ValidationError, match="not both"):
             ExpectationFunctional(
                 2, lambda r: r.trace(), evaluate_stack=lambda stack: np.trace(stack, axis1=1, axis2=2).real)
+
+    @pytest.mark.parametrize("formula, one_operator_fails", [
+        (lambda stack: stack[:1, 0, 0].real, False),
+        (lambda stack: 0.5, True),
+        (lambda stack: stack[:, 0, :1].real, True),
+    ], ids=["one-value-per-band", "scalar", "column"])
+    def test_formula_must_give_one_value_per_operator(self, formula, one_operator_fails):
+        f = ExpectationFunctional(2, evaluate_stack=formula)
+        with pytest.raises(ValidationError, match=r"expected shape \(4,\)"):
+            reconstruct_density(f)
+        with pytest.raises(ValidationError, match="band formula returned values of shape"):
+            check_linearity(f, 3, 0)
+        if one_operator_fails:
+            with pytest.raises(ValidationError, match=r"expected shape \(1,\)"):
+                f(SIGMA_X)
+        else:
+            assert f(SIGMA_Z) == 1.0
 
     def test_call_checks_the_dimension(self):
         f = trace_functional(DensityMatrix(identity(3) / 3))
