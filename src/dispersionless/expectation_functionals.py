@@ -328,8 +328,10 @@ def max_eigenvalue_functional(dim: int) -> ExpectationFunctional:
 
 def _top_eigenvalues(stack):
     # one operator is decomposed by eigendecompose, as every spectrum in the
-    # package is; a band by the same LAPACK driver, batched (eigvalsh's
-    # eigenvalue-only driver differs in the last bits)
+    # package is; a band by the same LAPACK driver, batched.  eigvalsh's
+    # eigenvalue-only driver would save the eigenvectors, but differs in the
+    # last bits: equal on all 11440 basis slices for d = 1..32 and on the
+    # fixed probes, it differs on 153-188 of 200 random operators at d = 4..32
     if len(stack) == 1:
         return [eigendecompose(stack[0]).eigenvalues[-1]]
     return np.linalg.eigh(stack)[0][:, -1]
@@ -416,13 +418,17 @@ def _kept_probe_bands(dim: int, seed: int, count: int) -> tuple[np.ndarray, ...]
     return bands
 
 
-def _canonical_band(dim: int) -> np.ndarray:
-    # the deterministic probe triple as one (k, dim, dim) band: a
-    # non-commuting 2x2 pair and their sum, whose spectrum is not the sum of
-    # spectra; empty for dimension 1, where every pair commutes
-    band = np.zeros((3 if dim >= 2 else 0, dim, dim), dtype=np.complex128)
+@functools.lru_cache(maxsize=8)
+def _fixed_probes(dim: int) -> np.ndarray:
+    # the deterministic probes as one read-only (k, dim, dim) band: the
+    # identity, then a non-commuting 2x2 pair and their sum, whose spectrum
+    # is not the sum of spectra; the identity alone in dimension 1, where
+    # every pair commutes.  The last 8 dimensions keep theirs (64 d^2 bytes)
+    band = np.zeros((4 if dim >= 2 else 1, dim, dim), dtype=np.complex128)
+    band[0] = identity(dim)
     if dim >= 2:
-        band[:, :2, :2] = SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Y
+        band[1:, :2, :2] = SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Y
+    band.flags.writeable = False
     return band
 
 
@@ -449,9 +455,10 @@ def reconstruct_density(
 
     The basis and the probes are Hermitian by construction and go to the
     functional's band formula unchecked, in bands of at most
-    ``_BAND_CELLS`` cells; the basis bands share one buffer, and a probe
+    ``_BAND_CELLS`` cells; the basis bands share one buffer, the identity
+    and the triple are one fixed band, kept per dimension, and a probe
     band is evaluated only when every earlier probe passed.  The random
-    probes are drawn only after the identity and the triple pass: within
+    probes are drawn only after the fixed band passes: within
     a budget of ``4 * _BAND_CELLS`` cells the first call for a (dim, seed,
     probe_count) draws all of their bands and later calls reuse them,
     read-only; above it each band is drawn when it is reached.  A NaN
@@ -494,9 +501,7 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
             # lazily, band by band: a failing band stops the rest, and a
             # failing fixed band does not even seed the generator; random
             # probes within the cache's budget are drawn whole once per key
-            yield identity(dim)[None]
-            if dim >= 2:
-                yield _canonical_band(dim)
+            yield _fixed_probes(dim)
             if probe_count * dim * dim <= 4 * _BAND_CELLS:
                 yield from _kept_probe_bands(dim, seed, probe_count)
             else:
@@ -537,14 +542,6 @@ class LinearityReport:
         return not self.commuting_max_deviation <= self.tol
 
 
-def _max_deviation(f, r, s, a, b) -> float:
-    # the largest |f(a r + b s) - a f(r) - b f(s)| over one band of trials:
-    # (k, d, d) operator bands r and s, length-k weight arrays a and b
-    combined = _band_values(f, r * a[:, None, None] + s * b[:, None, None])
-    # np.max, unlike max, keeps a NaN deviation
-    return float(np.max(np.abs(combined - a * _band_values(f, r) - b * _band_values(f, s))))
-
-
 def check_linearity(
     f: ExpectationFunctional,
     trials: int,
@@ -559,32 +556,44 @@ def check_linearity(
     functions of one shared generator, combined with non-negative weights:
     additivity over such jointly measurable combinations is exactly the
     weakened assumption that survives the counterexamples killing the
-    unrestricted form.  After the witness pair, the trials are drawn and
-    evaluated a band at a time, as many per band as a reconstruction
-    probe band holds.  Raises ValidationError unless tol is finite and
-    positive, trials is a positive integer and seed, which the report
-    keeps, a non-negative one: a bool, a float or a Generator is refused.
+    unrestricted form.  The trials are drawn a band at a time, as many of
+    each kind per band as fit with the witness pair in 8192 cells (at
+    least one): the unrestricted pairs and weights, then the commuting
+    ones.  Each band, the witness pair leading the first, reaches the
+    functional's formula three times: as a r + b s, then r, then s.
+    Raises ValidationError unless tol is finite and positive, trials is a
+    positive integer and seed, which the report keeps, a non-negative one:
+    a bool, a float or a Generator is refused.
     """
     _require_tol("linearity tolerance", tol)
     _require_integer("trials", trials, 1)
     _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     dim = f.dim
+    # the witness pair as (r, s) bands of one, for the first band only; of
+    # none in dimension 1
+    witness = _fixed_probes(dim)[1:3].reshape(2, -1, dim, dim)
+    step = max(1, (_BAND_CELLS // (dim * dim) - 1) // 2)
     unrestricted, commuting = [], []
-    if dim >= 2:
-        r, s = _canonical_band(dim)[:2, None]
-        unrestricted.append(_max_deviation(f, r, s, np.ones(1), np.ones(1)))
-    for start, stop in _bands(dim, trials):
-        k = stop - start
-        r, s = random_hermitian_stack(dim, rng, 2 * k).reshape(2, k, dim, dim)
-        unrestricted.append(_max_deviation(f, r, s, *rng.uniform(-2.0, 2.0, size=(2, k))))
+    for start in range(0, trials, step):
+        k = min(step, trials - start)
+        pairs = random_hermitian_stack(dim, rng, 2 * k).reshape(2, k, dim, dim)
+        weights = rng.uniform(-2.0, 2.0, size=(2, k))
         # both readouts of a pair are increasing functions of one generator, so
         # any outcome-respecting functional treats them as jointly measured
         vectors = np.linalg.eigh(random_hermitian_stack(dim, rng, k))[1]
         tables = np.cumsum(rng.uniform(0.1, 1.0, size=(2, k, 1, dim)), axis=-1)
         tables += rng.uniform(-2.0, 0.0, size=(2, k, 1, 1))
-        r, s = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
-        commuting.append(_max_deviation(f, r, s, *rng.uniform(0.0, 2.0, size=(2, k))))
+        joint = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+        r, s = np.concatenate([witness, pairs, joint], axis=1)
+        a, b = np.concatenate(
+            [np.ones((2, len(witness[0]))), weights, rng.uniform(0.0, 2.0, size=(2, k))], axis=1)
+        combined = _band_values(f, r * a[:, None, None] + s * b[:, None, None])
+        deviation = np.abs(combined - a * _band_values(f, r) - b * _band_values(f, s))
+        # np.max, unlike max, keeps a NaN deviation
+        unrestricted.append(np.max(deviation[:-k]))
+        commuting.append(np.max(deviation[-k:]))
+        witness = witness[:, :0]
 
     return LinearityReport(
         trials=trials,

@@ -1293,9 +1293,8 @@ class TestExtremeScales:
     @pytest.mark.parametrize("argv", [
         ("jointmeas", "--a", "1e150*SX", "--b", "1e150*SY"),
         ("jointmeas", "--a", "1e200*SX", "--b", "1e200*SY"),
-        ("hv-demo", "--phi", "x+", "--a", "1e300*SX", "--b", "1e300*SZ"),
         ("spectrum", "--expr", "sq(1e200*SZ)"),
-    ], ids=["jointmeas-1e150", "jointmeas-1e200", "hv-demo-1e300", "spectrum-sq-1e200"])
+    ], ids=["jointmeas-1e150", "jointmeas-1e200", "spectrum-sq-1e200"])
     def test_overflow_refused(self, capsys, argv, fmt):
         # a floating-point overflow while a command runs refuses the input,
         # instead of a report of Infinity and NaN beside numpy's warnings
@@ -1313,6 +1312,29 @@ class TestExtremeScales:
         assert data == {"schema": 1, "command": argv[0], "passed": False,
                         "error": {"type": "FloatingPointError", "message": message}}
         assert message.startswith("overflow encountered in ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("scale", ["1e300", "1e-200"])
+    def test_hv_demo_answered_at_extreme_scales(self, capsys, scale, fmt):
+        # the Bloch axis is normalized on a power-of-two scaled copy, so
+        # squares past the float range neither refuse the run (1e300) nor
+        # read the operators as multiples of the identity (1e-200)
+        argv = ["--phi", "x+", "--lambda-grid-size", "9", "--format", fmt]
+        code, out, err = run(capsys, "hv-demo", "--a", f"{scale}*SX", "--b", f"{scale}*SZ", *argv)
+        assert (code, err) == (0, "")
+        _, unit, _ = run(capsys, "hv-demo", "--a", "SX", "--b", "SZ", *argv)
+        if fmt == "text":
+            assert "per-point additivity violations: 1.0000 of grid" in out
+            return
+        data, unit = json.loads(out), json.loads(unit)
+        assert data["violation_fraction"] == unit["violation_fraction"] == 1.0
+        c = float(scale)
+        for got, want in zip(data["pairs"], unit["pairs"], strict=True):
+            assert got["lambda"] == want["lambda"]
+            # each outcome is an eigenvalue of its operator: exactly +-c for
+            # R and S, +-c sqrt(2) up to rounding for R + S
+            assert (got["vR"], got["vS"]) == (c * want["vR"], c * want["vS"])
+            assert abs(got["vRplusS"] - c * want["vRplusS"]) <= 1e-15 * c
 
     def test_large_hermitian_file_kept(self, capsys, tmp_path):
         path = tmp_path / "m.json"

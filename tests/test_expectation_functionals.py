@@ -308,11 +308,35 @@ class TestReconstruction:
         reconstruct_density(ExpectationFunctional(dim, recording), probe_count=5, seed=seed)
         rng = RNG(seed)
         expected = [identity(dim)]
-        expected += list(ef._canonical_band(dim))
+        expected += list(ef._fixed_probes(dim)[1:])
         expected += [random_hermitian(dim, rng).matrix for _ in range(5)]
         assert len(seen) == dim * dim + 1 + len(expected)
         for got, want in zip(seen[dim * dim + 1:], expected):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    def test_formula_passes(self, dim):
+        # the basis bands, f(I) as a band of one, the fixed band, then the
+        # random bands; no band holds more than _BAND_CELLS cells
+        f, bands = _recording(trace_functional(DensityMatrix.random(dim, RNG(dim))))
+        reconstruct_density(f)
+        step = ef._BAND_CELLS // dim**2
+        basis = [min(step, dim**2 - i) for i in range(0, dim**2, step)]
+        probes = [min(step, DEFAULT_PROBE_COUNT - i) for i in range(0, DEFAULT_PROBE_COUNT, step)]
+        assert [len(band) for band in bands] == basis + [1, 4 if dim >= 2 else 1] + probes
+        assert all(band.size <= ef._BAND_CELLS for band in bands)
+        fixed = np.zeros((4, dim, dim), dtype=complex)
+        fixed[0] = np.eye(dim)
+        if dim >= 2:
+            fixed[1:, :2, :2] = [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[0, 1 - 1j], [1 + 1j, 0]]]
+        assert np.array_equal(bands[len(basis) + 1], fixed[:len(bands[len(basis) + 1])])
+
+    def test_max_eigenvalue_stops_at_the_fixed_band(self):
+        f, bands = _recording(max_eigenvalue_functional(2))
+        with pytest.raises(AdditivityViolation) as exc:
+            reconstruct_density(f)
+        assert [len(band) for band in bands] == [4, 1, 4]
+        assert np.array_equal(exc.value.probe.matrix, identity(2))
 
     def test_violation_on_identity_draws_no_random_probe(self, monkeypatch):
         draws = []
@@ -702,30 +726,37 @@ class TestCheckLinearity:
         f, bands = _recording(max_eigenvalue_functional(dim))
         check_linearity(f, trials, seed=4)
         # each band of trials reaches the functional as a r + b s, then r, then s
-        witness, *groups = [bands[i:i + 3] for i in range(0, len(bands), 3)]
-        assert [band.tobytes() for band in witness] == [
-            ef._canonical_band(dim)[i:i + 1].tobytes() for i in (2, 0, 1)]
+        assert len(bands) % 3 == 0
+        assert all(band.size <= ef._BAND_CELLS for band in bands)
+        groups = [bands[i:i + 3] for i in range(0, len(bands), 3)]
+        # the witness pair leads the first band, once, with unit weights
+        combined, r, s = (band[:1] for band in groups[0])
+        assert [band.tobytes() for band in (combined, r, s)] == [
+            ef._fixed_probes(dim)[i:i + 1].tobytes() for i in (3, 1, 2)]
         counts = {"unrestricted": 0, "commuting": 0}
-        for combined, r, s in groups:
-            assert len(r) <= max(1, ef._BAND_CELLS // (dim * dim))
-            if all(frobenius(x @ y - y @ x) <= 1e-12 * frobenius(x) * frobenius(y)
-                   for x, y in zip(r, s)):
-                kind, low = "commuting", 0.0
-                for x, y in zip(r, s):
-                    # both are increasing functions of one generator: in the
-                    # eigenbasis of x, y is diagonal and increasing too
-                    vectors = np.linalg.eigh(x)[1]
-                    y_in_x = vectors.conj().T @ y @ vectors
-                    assert np.all(np.diff(np.diag(y_in_x).real) > 0)
-            else:
-                kind, low = "unrestricted", -2.0
-                for band in (r, s):
-                    assert np.array_equal(band, band.conj().swapaxes(1, 2))
-            for c, x, y in zip(combined, r, s):
-                (a, b), *_ = np.linalg.lstsq(np.stack([x.ravel(), y.ravel()], axis=1), c.ravel())
-                assert abs(a.imag) <= 1e-12 and abs(b.imag) <= 1e-12
-                assert low <= a.real <= 2.0 and low <= b.real <= 2.0
-            counts[kind] += len(r)
+        for i, (combined, r, s) in enumerate(groups):
+            if i == 0:
+                combined, r, s = combined[1:], r[1:], s[1:]
+            # a band's trials: as many unrestricted pairs, then commuting ones
+            k = len(r) // 2
+            assert len(r) == 2 * k and 0 < k <= max(1, (ef._BAND_CELLS // dim**2 - 1) // 2)
+            for kind, low, part in (("unrestricted", -2.0, slice(k)), ("commuting", 0.0, slice(k, None))):
+                for x, y in zip(r[part], s[part]):
+                    commutes = frobenius(x @ y - y @ x) <= 1e-12 * frobenius(x) * frobenius(y)
+                    assert commutes == (kind == "commuting")
+                    if not commutes:
+                        assert np.array_equal(x, x.conj().T) and np.array_equal(y, y.conj().T)
+                    else:
+                        # both are increasing functions of one generator: in
+                        # the eigenbasis of x, y is diagonal and increasing too
+                        vectors = np.linalg.eigh(x)[1]
+                        y_in_x = vectors.conj().T @ y @ vectors
+                        assert np.all(np.diff(np.diag(y_in_x).real) > 0)
+                for c, x, y in zip(combined[part], r[part], s[part]):
+                    (a, b), *_ = np.linalg.lstsq(np.stack([x.ravel(), y.ravel()], axis=1), c.ravel())
+                    assert abs(a.imag) <= 1e-12 and abs(b.imag) <= 1e-12
+                    assert low <= a.real <= 2.0 and low <= b.real <= 2.0
+                counts[kind] += k
         assert counts == {"unrestricted": trials, "commuting": trials}
 
     def test_dimension_one_has_no_witness(self):
@@ -733,7 +764,8 @@ class TestCheckLinearity:
         f, bands = _recording(max_eigenvalue_functional(1))
         report = check_linearity(f, 5, seed=2)
         assert not report.unrestricted_exceeds_tol and not report.commuting_exceeds_tol
-        assert [len(band) for band in bands] == [5] * 6
+        # one band: 5 unrestricted and 5 commuting trials, no witness pair
+        assert [len(band) for band in bands] == [10] * 3
 
     def test_seed_fixes_the_report(self):
         for f in (max_eigenvalue_functional(3), _stack_functionals(3, RNG(8))["trace"][0]):
@@ -741,14 +773,26 @@ class TestCheckLinearity:
 
     @pytest.mark.parametrize("trials", [7, 8, 9, 17])
     def test_verdicts_across_bands_of_eight(self, trials):
-        # a 32 x 32 band holds 8 operators, so these counts end a band early,
-        # exactly, one past and two bands past
-        assert list(ef._bands(32, 20)) == [(0, 8), (8, 16), (16, 20)]
+        # a 32 x 32 band holds 8 operators: the witness pair and 3 trials of
+        # each kind, so these counts end one past two whole bands, a band
+        # early, a band exactly and across six bands
+        f, bands = _recording(max_eigenvalue_functional(32))
+        top = check_linearity(f, trials, seed=trials)
+        assert top.unrestricted_exceeds_tol and not top.commuting_exceeds_tol
+        sizes = [2 * min(3, trials - start) for start in range(0, trials, 3)]
+        sizes[0] += 1
+        assert [len(band) for band in bands] == [n for n in sizes for _ in range(3)]
+        assert max(len(band) for band in bands) * 32 * 32 <= ef._BAND_CELLS
         trace = check_linearity(trace_functional(DensityMatrix.random(32, RNG(trials))),
                                 trials, seed=trials)
         assert not trace.unrestricted_exceeds_tol and not trace.commuting_exceeds_tol
-        top = check_linearity(max_eigenvalue_functional(32), trials, seed=trials)
-        assert top.unrestricted_exceeds_tol and not top.commuting_exceeds_tol
+
+    def test_one_band_of_trials_is_three_formula_passes(self):
+        # the witness pair and 3 trials of each kind fit one band at d = 2
+        for dim in (1, 2, 8):
+            f, bands = _recording(max_eigenvalue_functional(dim))
+            check_linearity(f, 3, seed=5)
+            assert [len(band) for band in bands] == [6 + (dim >= 2)] * 3
 
 
 def _recording(f):
@@ -886,7 +930,7 @@ class TestTraceFormLinearity:
         rng = RNG(70 + dim)
         u = DensityMatrix.random(dim, rng)
         f = trace_functional(u)
-        probes = ef._canonical_band(dim)
+        probes = ef._fixed_probes(dim)[1:]
         lhs = f(probes[2])
         rhs = f(probes[0]) + f(probes[1])
         assert abs(lhs - rhs) <= 1e-12
