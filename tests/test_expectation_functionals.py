@@ -773,9 +773,9 @@ class TestCheckLinearity:
 
     @pytest.mark.parametrize("trials", [7, 8, 9, 17])
     def test_verdicts_across_bands_of_eight(self, trials):
-        # a 32 x 32 band holds 8 operators: the witness pair and 3 trials of
-        # each kind, so these counts end one past two whole bands, a band
-        # early, a band exactly and across six bands
+        # a 32 x 32 band holds at most 8 operators: the witness pair and 3
+        # trials of each kind, so these counts end one past two whole bands,
+        # a band early, a band exactly and across six bands
         f, bands = _recording(max_eigenvalue_functional(32))
         top = check_linearity(f, trials, seed=trials)
         assert top.unrestricted_exceeds_tol and not top.commuting_exceeds_tol
@@ -788,11 +788,44 @@ class TestCheckLinearity:
         assert not trace.unrestricted_exceeds_tol and not trace.commuting_exceeds_tol
 
     def test_one_band_of_trials_is_three_formula_passes(self):
-        # the witness pair and 3 trials of each kind fit one band at d = 2
+        # the witness pair and 3 trials of each kind fit one band at d = 1, 2, 8
         for dim in (1, 2, 8):
             f, bands = _recording(max_eigenvalue_functional(dim))
             check_linearity(f, 3, seed=5)
             assert [len(band) for band in bands] == [6 + (dim >= 2)] * 3
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    def test_report_equals_separate_passes(self, dim):
+        # reference: the same draws, with the witness pair, the unrestricted
+        # and the commuting trials each evaluated as a band of its own
+        def deviation(f, r, s, a, b):
+            def values(band):
+                return np.asarray(f._evaluate_stack(band), dtype=float)
+
+            combined = values(r * a[:, None, None] + s * b[:, None, None])
+            return np.max(np.abs(combined - a * values(r) - b * values(s)))
+
+        def separate(f, trials, seed):
+            rng = RNG(seed)
+            fixed = ef._fixed_probes(dim)
+            unrestricted = []
+            if dim > 1:
+                unrestricted.append(deviation(f, fixed[1:2], fixed[2:3], np.ones(1), np.ones(1)))
+            r, s = random_hermitian_stack(dim, rng, 2 * trials).reshape(2, trials, dim, dim)
+            unrestricted.append(deviation(f, r, s, *rng.uniform(-2.0, 2.0, size=(2, trials))))
+            vectors = np.linalg.eigh(random_hermitian_stack(dim, rng, trials))[1]
+            tables = np.cumsum(rng.uniform(0.1, 1.0, size=(2, trials, 1, dim)), axis=-1)
+            tables += rng.uniform(-2.0, 0.0, size=(2, trials, 1, 1))
+            r, s = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+            commuting = deviation(f, r, s, *rng.uniform(0.0, 2.0, size=(2, trials)))
+            return float(np.max(unrestricted)), float(commuting)
+
+        for name, (f, _) in _stack_functionals(dim, RNG(120 + dim)).items():
+            for trials in (1, 2, 3):
+                for seed in (0, 7):
+                    report = check_linearity(f, trials, seed)
+                    got = (report.unrestricted_max_deviation, report.commuting_max_deviation)
+                    assert got == separate(f, trials, seed), (name, trials, seed)
 
 
 def _recording(f):
