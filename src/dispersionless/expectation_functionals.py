@@ -243,8 +243,9 @@ class ExpectationFunctional:
     matrices to its k real values.  A functional takes exactly one of the
     two.  Calling it validates one operator and evaluates it as a band of
     one; reconstruction and the linearity check hand the formula the
-    bands they built, unchecked, each of at most 8192 cells; the bands of
-    one sweep of the Hermitian basis share one buffer.  A band given to
+    bands they built, unchecked, each of at most 8192 cells (a band of one
+    past d = 90); the bands of one sweep of the Hermitian basis share one
+    buffer.  A band given to
     ``evaluate_stack`` may be read-only (reconstruction reuses its probe
     bands, and the basis bands are read-only views) and is valid only
     during the call: the next basis band overwrites the last.  The
@@ -289,7 +290,11 @@ def trace_functional(u) -> ExpectationFunctional:
 
 def _band_values(f: ExpectationFunctional, band: np.ndarray) -> np.ndarray:
     # f on each slice of a Hermitian (k, f.dim, f.dim) band the package built,
-    # unchecked; the formula's output must hold one value per slice
+    # unchecked; a band of more than _BAND_CELLS cells reaches the formula in
+    # parts that fit (of one operator past d = 90), and the formula's output
+    # must hold one value per slice
+    if len(band) > 1 and band.size > _BAND_CELLS:
+        return np.concatenate([_band_values(f, band[a:b]) for a, b in _bands(f.dim, len(band))])
     values = np.asarray(f._evaluate_stack(band), dtype=np.float64)
     if values.shape != band.shape[:1]:
         raise ValidationError(
@@ -418,17 +423,14 @@ def _kept_probe_bands(dim: int, seed: int, count: int) -> tuple[np.ndarray, ...]
     return bands
 
 
-@functools.lru_cache(maxsize=8)
 def _fixed_probes(dim: int) -> np.ndarray:
-    # the deterministic probes as one read-only (k, dim, dim) band: the
-    # identity, then a non-commuting 2x2 pair and their sum, whose spectrum
-    # is not the sum of spectra; the identity alone in dimension 1, where
-    # every pair commutes.  The last 8 dimensions keep theirs (64 d^2 bytes)
+    # the deterministic probes as one (k, dim, dim) band: the identity, then
+    # a non-commuting 2x2 pair and their sum, whose spectrum is not the sum
+    # of spectra; the identity alone in dimension 1, where every pair commutes
     band = np.zeros((4 if dim >= 2 else 1, dim, dim), dtype=np.complex128)
     band[0] = identity(dim)
     if dim >= 2:
         band[1:, :2, :2] = SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Y
-    band.flags.writeable = False
     return band
 
 
@@ -456,8 +458,9 @@ def reconstruct_density(
     The basis and the probes are Hermitian by construction and go to the
     functional's band formula unchecked, in bands of at most
     ``_BAND_CELLS`` cells; the basis bands share one buffer, the identity
-    and the triple are one fixed band, kept per dimension, and a probe
-    band is evaluated only when every earlier probe passed.  The random
+    and the triple are one fixed band (given to the formula in parts past
+    d = 45), and a probe band is evaluated only when every earlier probe
+    passed.  The random
     probes are drawn only after the fixed band passes: within
     a budget of ``4 * _BAND_CELLS`` cells the first call for a (dim, seed,
     probe_count) draws all of their bands and later calls reuse them,
@@ -560,7 +563,9 @@ def check_linearity(
     each kind per band as fit with the witness pair in 8192 cells (at
     least one): the unrestricted pairs and weights, then the commuting
     ones.  Each band, the witness pair leading the first, reaches the
-    functional's formula three times: as a r + b s, then r, then s.
+    functional's formula three times: as a r + b s, then r, then s; past
+    d = 52, where one trial of each kind and the pair exceed 8192 cells,
+    each time in parts that fit (of one operator past d = 90).
     Raises ValidationError unless tol is finite and positive, trials is a
     positive integer and seed, which the report keeps, a non-negative one:
     a bool, a float or a Generator is refused.

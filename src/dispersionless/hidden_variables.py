@@ -81,22 +81,15 @@ def _axis_decomposition(stack: np.ndarray):
     f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
     base = (f[:, 0] + f[:, 6]) / 2.0
     v = (f.take(_PAULI_FIRST, axis=1) + f.take(_PAULI_SECOND, axis=1) * _PAULI_SECOND_SIGN) / 2.0
-    # the plain norm while no square leaves the normal float range (every
-    # component at most 2^500, every row's squares at least 2^-1000 in sum);
-    # else each row is divided by 2^e, e the exponent of its largest
-    # component, exactly (ldexp takes e itself: 2^-e overflows for a
-    # subnormal one), and its norm multiplied back
-    sq = np.vecdot(v, v) if abs(v).max() <= 2.0**500 else None
-    if sq is not None and sq.min() >= 2.0**-1000:
-        norm = np.sqrt(sq)
-        axis = v / norm[:, None]
-    else:
-        e = np.frexp(abs(v).max(axis=1))[1]
-        v = np.ldexp(v, -e[:, None])
-        norm = np.sqrt(np.vecdot(v, v))
-        # a scaled row is 0, or has its largest component and norm at least 1/2
-        axis = v / np.maximum(norm, 0.5)[:, None]
-        norm = np.ldexp(norm, e)
+    # each row is divided by 2^e, e the exponent of its largest component,
+    # exactly (ldexp takes e itself: 2^-e overflows for a subnormal one), so
+    # no square leaves the float range; its norm is multiplied back
+    e = np.frexp(abs(v).max(axis=1))[1]
+    v = np.ldexp(v, -e[:, None])
+    norm = np.sqrt(np.vecdot(v, v))
+    # a scaled row is 0, or has its largest component and norm at least 1/2
+    axis = v / np.maximum(norm, 0.5)[:, None]
+    norm = np.ldexp(norm, e)
     # the sign of the first component above DELTA_TOL; a unit 3-vector has a
     # component of size >= 1/sqrt(3), so one exists unless the axis is zero
     lead = np.vecdot(np.copysign(np.abs(axis) > DELTA_TOL, axis), _LEAD_WEIGHTS)

@@ -338,6 +338,14 @@ class TestReconstruction:
         assert [len(band) for band in bands] == [4, 1, 4]
         assert np.array_equal(exc.value.probe.matrix, identity(2))
 
+    def test_fixed_band_past_d45_reaches_the_formula_in_parts(self):
+        # 8192 // 46^2 = 3 operators fit: the identity and the triple as 3 + 1
+        f, bands = _recording(trace_functional(DensityMatrix.random(46, RNG(46))))
+        reconstruct_density(f, probe_count=0)
+        assert [len(band) for band in bands[-2:]] == [3, 1]
+        assert all(band.size <= ef._BAND_CELLS for band in bands)
+        assert np.array_equal(np.concatenate(bands[-2:]), ef._fixed_probes(46))
+
     def test_violation_on_identity_draws_no_random_probe(self, monkeypatch):
         draws = []
         original = ef.random_hermitian_stack
@@ -793,6 +801,18 @@ class TestCheckLinearity:
             f, bands = _recording(max_eigenvalue_functional(dim))
             check_linearity(f, 3, seed=5)
             assert [len(band) for band in bands] == [6 + (dim >= 2)] * 3
+
+    @pytest.mark.parametrize("dim, parts", [(53, [2, 1]), (64, [2, 1]), (91, [1, 1, 1])])
+    def test_bands_past_d52_reach_the_formula_in_parts(self, dim, parts):
+        # one trial of each kind per band; the first band's 3 operators and
+        # the second's 2 exceed 8192 cells, and each reaches the formula in
+        # parts of as many operators as fit, one past d = 90
+        f, bands = _recording(trace_functional(DensityMatrix.random(dim, RNG(dim))))
+        report = check_linearity(f, 2, seed=dim)
+        assert not report.unrestricted_exceeds_tol and not report.commuting_exceeds_tol
+        second = [2] if dim <= 64 else [1, 1]
+        assert [len(band) for band in bands] == parts * 3 + second * 3
+        assert all(len(band) == 1 or band.size <= ef._BAND_CELLS for band in bands)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
     def test_report_equals_separate_passes(self, dim):
