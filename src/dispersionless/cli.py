@@ -382,7 +382,6 @@ def cmd_reconstruct(args) -> int:
             f"functional {label} is normalized, positive, and additive;",
             "recovered the density matrix of its trace form:",
         ]
-        lines += _matrix_lines(density.matrix)
     if args.output_format == "json":
         # the transcript: each basis element beside the functional's value on it
         probes = [p for band in _basis_bands(functional.dim) for p in matrices_to_json(band)]
@@ -391,6 +390,8 @@ def cmd_reconstruct(args) -> int:
                   else {"verdict": _verdict_json(violation)})
         lines = [_dumps(_payload("reconstruct", passed=violation is None, functional=label,
                                  transcript=transcript, **result))]
+    elif violation is None:
+        lines += _matrix_lines(density.matrix)
     print("\n".join(lines))
     return EXIT_OK if violation is None else EXIT_FAIL
 
@@ -404,10 +405,9 @@ def cmd_dispersion_witness(args) -> int:
         _emit(args.output_format, _error_payload("dispersion-witness", exc),
               [f"no witness: {exc}"])
         return EXIT_FAIL
-    lines = [
-        f"dispersion {_fmt(value)} > 0 for the witness operator:",
-    ]
-    lines += _matrix_lines(witness.matrix)
+    lines = [f"dispersion {_fmt(value)} > 0 for the witness operator:"]
+    if args.output_format == "text":
+        lines += _matrix_lines(witness.matrix)
     _emit(args.output_format, _payload(
         "dispersion-witness",
         passed=True,
@@ -437,7 +437,8 @@ def cmd_jointmeas(args) -> int:
             "g_table": {str(k): v for k, v in gen.g_table.items()},
         }
         lines.append("common generator T with readout tables:")
-        lines += _matrix_lines(gen.t.matrix)
+        if args.output_format == "text":
+            lines += _matrix_lines(gen.t.matrix)
         lines.append(f"  f: {gen.f_table}")
         lines.append(f"  g: {gen.g_table}")
     else:

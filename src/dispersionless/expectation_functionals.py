@@ -243,9 +243,9 @@ class ExpectationFunctional:
     matrices to its k real values.  A functional takes exactly one of the
     two.  Calling it validates one operator and evaluates it as a band of
     one; reconstruction and the linearity check hand the formula the
-    bands they built, unchecked, each of at most 8192 cells (a band of one
-    past d = 90); the bands of one sweep of the Hermitian basis share one
-    buffer.  A band given to
+    bands they built, exactly Hermitian and unchecked, each of at most
+    8192 cells (a band of one past d = 90); the bands of one sweep of the
+    Hermitian basis share one buffer.  A band given to
     ``evaluate_stack`` may be read-only (reconstruction reuses its probe
     bands, and the basis bands are read-only views) and is valid only
     during the call: the next basis band overwrites the last.  The
@@ -590,6 +590,8 @@ def check_linearity(
         tables = np.cumsum(rng.uniform(0.1, 1.0, size=(2, k, 1, dim)), axis=-1)
         tables += rng.uniform(-2.0, 0.0, size=(2, k, 1, 1))
         joint = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+        # V T V* is Hermitian only up to roundoff; (M + M*)/2 is, bit for bit
+        joint = (joint + joint.conj().swapaxes(-1, -2)) / 2
         r, s = np.concatenate([witness, pairs, joint], axis=1)
         a, b = np.concatenate(
             [np.ones((2, len(witness[0]))), weights, rng.uniform(0.0, 2.0, size=(2, k))], axis=1)

@@ -4,11 +4,13 @@ The physical product of two jointly measurable quantities maps to the
 symmetrized operator product (RS + SR)/2.  Iterating that map over nested
 products of two generic symbols and equating the images of equal
 quantities forces (RS - SR)^2 = 0, i.e. the operators commute.  This
-module replays that derivation in exact rational arithmetic, checks each
-expansion against hard-coded fixture polynomials, and complements it with
-the constructive converse: two commuting Hermitian operators are both
+module replays that derivation in exact rational arithmetic on every call
+and checks each expansion against hard-coded fixture polynomials, whose
+text is rendered once at import.  It complements the chain with the
+constructive converse: two commuting Hermitian operators are both
 functions of one common generator, built here by simultaneous
-diagonalization.
+diagonalization, with eigenvalue clusters split and readouts snapped in
+plain Python over each spectrum.
 """
 
 from __future__ import annotations
@@ -90,13 +92,47 @@ class ChainReport:
         return [step.name for step in self.steps if not step.passed]
 
 
+# The expected side of the chain, built once at import: each step's name,
+# description, fixture and the fixture's text.
+_CHAIN = tuple((name, description, fixture, str(fixture)) for name, description, fixture in (
+    ("RS", "image of the product of R and S", FIXTURE_RS),
+    ("R(RS)", "image of the nested product R(RS)", FIXTURE_RRS),
+    ("S(R(RS))", "image of the nested product S(R(RS))", FIXTURE_SRRS),
+    ("R(S(SR))", "image of the nested product R(S(SR))", FIXTURE_RSSR),
+    ("(RS)(RS)", "image of the squared product (RS)^2", FIXTURE_RSRS),
+    # S(R(RS)), R(S(SR)) and (RS)^2 are one and the same quantity, so the
+    # residual of their images must be a multiple of the square-product
+    # deficit; equate them and R^2S^2 + S^2R^2 = (RS)(SR) + (SR)(RS) follows.
+    ("square-product identity",
+     "S(R(RS)) + R(S(SR)) - 2(RS)^2 reduces to the square-product deficit / 4",
+     SQUARE_PRODUCT_DEFICIT / 4),
+    ("R^2S^2", "image of the product of R^2 and S^2", FIXTURE_SSRR),
+    # Rewriting R^2S^2 + S^2R^2 through the square-product identity gives
+    # the reduced form [(RS)(SR) + (SR)(RS)]/2 for the same quantity.
+    ("R^2S^2 reduced",
+     "R^2S^2 image minus the imposed deficit / 2 equals [(RS)(SR)+(SR)(RS)]/2",
+     FIXTURE_SSRR_REDUCED),
+    # (RS)^2 and R^2S^2 are also the same quantity, so the reduced form must
+    # match the (RS)^2 image: the gap is exactly -1/4 of the cross-square
+    # deficit, forcing (RS)(SR) + (SR)(RS) = (RS)^2 + (SR)^2.
+    ("cross-square identity",
+     "reduced R^2S^2 minus the (RS)^2 image is -(cross-square deficit)/4",
+     -(CROSS_SQUARE_DEFICIT / 4)),
+    # Free-algebra expansion, no imposed relations: (RS - SR)^2 equals the
+    # cross-square deficit, hence vanishes once the chain is imposed.
+    ("commutator square vanishes",
+     "(RS - SR)^2 expands to the cross-square deficit, which the chain forces to 0",
+     CROSS_SQUARE_DEFICIT),
+))
+
+
 def verify_appendix1_chain() -> ChainReport:
     """Replay the identity chain that forces jointly measurable pairs to commute.
 
-    Every step is an exact free-algebra computation compared against its
-    fixture; the two bridging identities record that equating different
-    routes to the same physical quantity leaves no room for a nonzero
-    (RS - SR)^2.
+    Every step is an exact free-algebra computation, replayed on each call
+    and compared against its fixture; the two bridging identities record
+    that equating different routes to the same physical quantity leaves no
+    room for a nonzero (RS - SR)^2.
     """
     r = NcPolynomial.symbol("R")
     s = NcPolynomial.symbol("S")
@@ -108,60 +144,22 @@ def verify_appendix1_chain() -> ChainReport:
     r_s_sr = prod(r, prod(s, prod(s, r)))
     rs_sq = prod(rs, rs)
     sq_prod = prod(prod(r, r), prod(s, s))
-
-    steps = []
-
-    def check(name, description, computed, expected):
-        # equal polynomials have equal storage and print the same text
-        passed = computed == expected
-        text = str(expected)
-        steps.append(ChainStep(name=name, description=description,
-                               computed=text if passed else str(computed),
-                               expected=text, passed=passed))
-
-    check("RS", "image of the product of R and S",
-          rs, FIXTURE_RS)
-    check("R(RS)", "image of the nested product R(RS)",
-          r_rs, FIXTURE_RRS)
-    check("S(R(RS))", "image of the nested product S(R(RS))",
-          s_r_rs, FIXTURE_SRRS)
-    check("R(S(SR))", "image of the nested product R(S(SR))",
-          r_s_sr, FIXTURE_RSSR)
-    check("(RS)(RS)", "image of the squared product (RS)^2",
-          rs_sq, FIXTURE_RSRS)
-
-    # S(R(RS)), R(S(SR)) and (RS)^2 are one and the same quantity, so the
-    # residual of their images must be a multiple of the square-product
-    # deficit; equate them and R^2S^2 + S^2R^2 = (RS)(SR) + (SR)(RS) follows.
-    residual = s_r_rs + r_s_sr - 2 * rs_sq
-    check("square-product identity",
-          "S(R(RS)) + R(S(SR)) - 2(RS)^2 reduces to the square-product deficit / 4",
-          residual, SQUARE_PRODUCT_DEFICIT / 4)
-
-    check("R^2S^2", "image of the product of R^2 and S^2",
-          sq_prod, FIXTURE_SSRR)
-
-    # Rewriting R^2S^2 + S^2R^2 through the square-product identity gives
-    # the reduced form [(RS)(SR) + (SR)(RS)]/2 for the same quantity.
-    check("R^2S^2 reduced",
-          "R^2S^2 image minus the imposed deficit / 2 equals [(RS)(SR)+(SR)(RS)]/2",
-          sq_prod - SQUARE_PRODUCT_DEFICIT / 2, FIXTURE_SSRR_REDUCED)
-
-    # (RS)^2 and R^2S^2 are also the same quantity, so the reduced form must
-    # match the (RS)^2 image: the gap is exactly -1/4 of the cross-square
-    # deficit, forcing (RS)(SR) + (SR)(RS) = (RS)^2 + (SR)^2.
-    check("cross-square identity",
-          "reduced R^2S^2 minus the (RS)^2 image is -(cross-square deficit)/4",
-          FIXTURE_SSRR_REDUCED - rs_sq, -(CROSS_SQUARE_DEFICIT / 4))
-
-    # Free-algebra expansion, no imposed relations: (RS - SR)^2 equals the
-    # cross-square deficit, hence vanishes once the chain is imposed.
     comm = r * s - s * r
-    check("commutator square vanishes",
-          "(RS - SR)^2 expands to the cross-square deficit, which the chain forces to 0",
-          comm * comm, CROSS_SQUARE_DEFICIT)
-
-    return ChainReport(steps=tuple(steps))
+    computed = (
+        rs, r_rs, s_r_rs, r_s_sr, rs_sq,
+        s_r_rs + r_s_sr - 2 * rs_sq,
+        sq_prod,
+        sq_prod - SQUARE_PRODUCT_DEFICIT / 2,
+        FIXTURE_SSRR_REDUCED - rs_sq,
+        comm * comm,
+    )
+    # equal polynomials have equal storage and print the same text, so only
+    # a failing step renders its computed side
+    return ChainReport(steps=tuple(
+        ChainStep(name=name, description=description,
+                  computed=text if got == fixture else str(got),
+                  expected=text, passed=got == fixture)
+        for (name, description, fixture, text), got in zip(_CHAIN, computed)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,7 @@ def _readout(table: dict[int, float]):
     return read
 
 
-def _clusters(values: np.ndarray, radius: float) -> list[tuple[int, int]]:
+def _clusters(values: list[float], radius: float) -> list[tuple[int, int]]:
     # ascending input; split where the gap exceeds the degeneracy threshold
     # relative to the spectral radius of the operator the values belong to
     gap = DEGENERACY_GAP * radius
@@ -215,8 +213,11 @@ def _clusters(values: np.ndarray, radius: float) -> list[tuple[int, int]]:
     return bounds
 
 
-def _nearest(values: np.ndarray, x: float) -> float:
-    return float(values[np.argmin(np.abs(values - x))])
+def _nearest(values: list[float], cluster: np.ndarray) -> float:
+    # the value nearest the cluster's mean, the first on a tie as np.argmin
+    # takes it; numpy's sum over the length gives np.mean's bits
+    mean = float(cluster.sum()) / len(cluster)
+    return min(values, key=lambda v: abs(v - mean))
 
 
 def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
@@ -237,29 +238,33 @@ def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
 
 
 def _common_generator(r: HermitianOperator, s: HermitianOperator) -> CommonGenerator:
-    # common_generator for a pair already found to commute
+    # common_generator for a pair already found to commute.  Each spectrum is
+    # read once as a list, and clusters are split and readouts snapped in
+    # plain Python: numpy's fixed cost per call on a handful of values would
+    # exceed the arithmetic
     spec_r = eigendecompose(r)
     spec_s = eigendecompose(s)
+    values_r = spec_r.eigenvalues.tolist()
+    values_s = spec_s.eigenvalues.tolist()
     t = np.zeros((r.dim, r.dim), dtype=np.complex128)
     f_table: dict[int, float] = {}
     g_table: dict[int, float] = {}
     label = 0
     # spectral radii, read off the ends of the ascending spectra
-    radius_r, radius_s = (max(-float(spec.eigenvalues[0]), float(spec.eigenvalues[-1]))
-                          for spec in (spec_r, spec_s))
-    for i0, i1 in _clusters(spec_r.eigenvalues, radius_r):
+    radius_r, radius_s = (max(-values[0], values[-1]) for values in (values_r, values_s))
+    for i0, i1 in _clusters(values_r, radius_r):
         basis = spec_r.eigenvectors[:, i0:i1]
-        r_val = _nearest(spec_r.eigenvalues, np.mean(spec_r.eigenvalues[i0:i1]))
+        r_val = _nearest(values_r, spec_r.eigenvalues[i0:i1])
         block = basis.conj().T @ s.matrix @ basis
         # (B + B*)/2 is Hermitian by construction, entry for entry
         sub_values, sub_vectors = np.linalg.eigh((block + block.conj().T) / 2)
         # the restriction of s is clustered on the scale of s itself, so a
         # block that vanishes up to roundoff stays one cluster
-        for j0, j1 in _clusters(sub_values, radius_s):
+        for j0, j1 in _clusters(sub_values.tolist(), radius_s):
             joint = basis @ sub_vectors[:, j0:j1]
             t += label * (joint @ joint.conj().T)
             f_table[label] = r_val
-            g_table[label] = _nearest(spec_s.eigenvalues, np.mean(sub_values[j0:j1]))
+            g_table[label] = _nearest(values_s, sub_values[j0:j1])
             label += 1
     return CommonGenerator(HermitianOperator(t), f_table, g_table)
 

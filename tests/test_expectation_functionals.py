@@ -752,9 +752,9 @@ class TestCheckLinearity:
                 for x, y in zip(r[part], s[part]):
                     commutes = frobenius(x @ y - y @ x) <= 1e-12 * frobenius(x) * frobenius(y)
                     assert commutes == (kind == "commuting")
-                    if not commutes:
-                        assert np.array_equal(x, x.conj().T) and np.array_equal(y, y.conj().T)
-                    else:
+                    # every pair reaches the formula exactly Hermitian
+                    assert np.array_equal(x, x.conj().T) and np.array_equal(y, y.conj().T)
+                    if commutes:
                         # both are increasing functions of one generator: in
                         # the eigenbasis of x, y is diagonal and increasing too
                         vectors = np.linalg.eigh(x)[1]
@@ -836,7 +836,8 @@ class TestCheckLinearity:
             vectors = np.linalg.eigh(random_hermitian_stack(dim, rng, trials))[1]
             tables = np.cumsum(rng.uniform(0.1, 1.0, size=(2, trials, 1, dim)), axis=-1)
             tables += rng.uniform(-2.0, 0.0, size=(2, trials, 1, 1))
-            r, s = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+            joint = (vectors * tables) @ vectors.conj().swapaxes(-1, -2)
+            r, s = (joint + joint.conj().swapaxes(-1, -2)) / 2
             commuting = deviation(f, r, s, *rng.uniform(0.0, 2.0, size=(2, trials)))
             return float(np.max(unrestricted)), float(commuting)
 

@@ -22,6 +22,7 @@ from dispersionless.operator_core import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    DEGENERACY_GAP,
     ValidationError,
     apply_function,
     commutator_norm,
@@ -110,6 +111,41 @@ def left_to_right(p, mats, dim):
             acc = acc @ mats[name]
         total += float(coeff) * acc
     return total
+
+
+def generator_oracle(r, s):
+    """common_generator's T and tables in plain numpy: np.linalg.eigh, cuts
+    from np.diff, each readout the eigenvalue nearest np.mean of its cluster
+    by np.argmin, T summed label by label as the package sums it."""
+    values_r, vectors_r = np.linalg.eigh(r)
+    values_s = np.linalg.eigh(s)[0]
+
+    def clusters(values, spectrum):
+        # split on gaps past DEGENERACY_GAP times the operator's spectral radius
+        radius = max(-spectrum[0], spectrum[-1])
+        cuts = np.flatnonzero(np.diff(values) > DEGENERACY_GAP * radius) + 1
+        return zip(np.r_[0, cuts], np.r_[cuts, len(values)])
+
+    def nearest(spectrum, cluster):
+        return spectrum[np.argmin(np.abs(spectrum - np.mean(cluster)))]
+
+    t = np.zeros(r.shape, dtype=np.complex128)
+    f_table, g_table = {}, {}
+    for i0, i1 in clusters(values_r, values_r):
+        basis = vectors_r[:, i0:i1]
+        block = basis.conj().T @ s @ basis
+        sub_values, sub_vectors = np.linalg.eigh((block + block.conj().T) / 2)
+        for j0, j1 in clusters(sub_values, values_s):
+            label = len(f_table)
+            joint = basis @ sub_vectors[:, j0:j1]
+            t += label * (joint @ joint.conj().T)
+            f_table[label] = nearest(values_r, values_r[i0:i1])
+            g_table[label] = nearest(values_s, sub_values[j0:j1])
+    return t, f_table, g_table
+
+
+def table_bits(table):
+    return list(table), np.array(list(table.values()), dtype=float).tobytes()
 
 
 WORDS = st.lists(st.sampled_from("RST"), max_size=3).map(tuple)
@@ -257,6 +293,43 @@ class TestChain:
         )
         assert by_name["S(R(RS))"].computed == by_name["S(R(RS))"].expected
 
+    def test_expected_sides_are_the_fixture_texts(self):
+        # each step's fixture, rebuilt here from its printed terms
+        fixtures = [
+            ("RS", {"RS": (1, 2), "SR": (1, 2)}),
+            ("R(RS)", {"RRS": (1, 4), "RSR": (1, 2), "SRR": (1, 4)}),
+            ("S(R(RS))", {"SRRS": (1, 4), "SRSR": (1, 4), "RSRS": (1, 4), "SSRR": (1, 8),
+                          "RRSS": (1, 8)}),
+            ("R(S(SR))", {"RSSR": (1, 4), "RSRS": (1, 4), "SRSR": (1, 4), "RRSS": (1, 8),
+                          "SSRR": (1, 8)}),
+            ("(RS)(RS)", {"RSRS": (1, 4), "SRSR": (1, 4), "RSSR": (1, 4), "SRRS": (1, 4)}),
+            ("square-product identity", {"RRSS": (1, 4), "SSRR": (1, 4), "RSSR": (-1, 4),
+                                         "SRRS": (-1, 4)}),
+            ("R^2S^2", {"RRSS": (1, 2), "SSRR": (1, 2)}),
+            ("R^2S^2 reduced", {"RSSR": (1, 2), "SRRS": (1, 2)}),
+            ("cross-square identity", {"RSRS": (-1, 4), "SRSR": (-1, 4), "RSSR": (1, 4),
+                                       "SRRS": (1, 4)}),
+            ("commutator square vanishes", {"RSRS": (1, 1), "SRSR": (1, 1), "RSSR": (-1, 1),
+                                            "SRRS": (-1, 1)}),
+        ]
+        report = verify_appendix1_chain()
+        assert [step.name for step in report.steps] == [name for name, _ in fixtures]
+        for step, (_, terms) in zip(report.steps, fixtures):
+            assert step.expected == str(poly(terms)) == ref_str(ref_clean(
+                {tuple(w): Fraction(*c) for w, c in terms.items()}))
+            assert step.passed and step.computed == step.expected
+
+    def test_a_failing_step_shows_its_computed_side(self, monkeypatch):
+        # a product map that drops the symmetrization breaks the chain
+        monkeypatch.setattr(symmetrized_algebra, "symmetrized_product", lambda a, b: a * b)
+        report = verify_appendix1_chain()
+        assert not report.passed
+        first = report.steps[0]
+        assert (first.name, first.passed) == ("RS", False)
+        assert (first.computed, first.expected) == ("1*RS", "1/2*RS + 1/2*SR")
+        # (RS - SR)^2 takes plain products only, so the last step still holds
+        assert report.steps[-1].passed
+
     def test_replay_binds_each_image_once(self, monkeypatch):
         # 10 symmetrized products, then (RS - SR)^2 takes 3 plain products
         sym_calls, mul_calls = [], []
@@ -396,6 +469,36 @@ class TestCommonGenerator:
         assert len(calls) == 1
         assert frobenius(r2.matrix - r.matrix) <= 1e-12
         assert frobenius(s2.matrix - s.matrix) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
+           degenerate=st.booleans(), exponents=st.tuples(st.integers(-30, 30),
+                                                         st.integers(-30, 30)))
+    def test_tables_and_t_equal_a_numpy_oracle(self, seed, dim, degenerate, exponents):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(dim, rng)
+        if degenerate:
+            tables = (rng.choice([-1.5, -0.5, 1.0, 2.0], size=dim),
+                      rng.choice([-1.0, 0.25, 1.5], size=dim))
+        else:
+            tables = rng.standard_normal((2, dim))
+        r, s = (2.0 ** k * ((u * table) @ u.conj().T) for k, table in zip(exponents, tables))
+        t, f_table, g_table = generator_oracle(r, s)
+        for gen in (common_generator(r, s), joint_measurability_witness(r, s).generator):
+            assert gen.t.matrix.tobytes() == t.tobytes()
+            assert table_bits(gen.f_table) == table_bits(f_table)
+            assert table_bits(gen.g_table) == table_bits(g_table)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
+           k=st.integers(-30, 30))
+    def test_scalar_s_reads_exactly_its_scalar(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        c = 2.0 ** k * float(rng.standard_normal())
+        r = random_hermitian(dim, rng)
+        for gen in (common_generator(r, c * identity(dim)),
+                    joint_measurability_witness(r, c * identity(dim)).generator):
+            assert set(gen.g_table.values()) == {c}
 
     def test_non_commuting_rejected_with_norm(self):
         with pytest.raises(ValidationError, match="commutator norm"):
