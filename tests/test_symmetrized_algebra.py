@@ -315,8 +315,7 @@ class TestChain:
         report = verify_appendix1_chain()
         assert [step.name for step in report.steps] == [name for name, _ in fixtures]
         for step, (_, terms) in zip(report.steps, fixtures):
-            assert step.expected == str(poly(terms)) == ref_str(ref_clean(
-                {tuple(w): Fraction(*c) for w, c in terms.items()}))
+            assert step.expected == str(poly(terms))
             assert step.passed and step.computed == step.expected
 
     def test_a_failing_step_shows_its_computed_side(self, monkeypatch):
