@@ -244,14 +244,12 @@ class ExpectationFunctional:
     two.  Calling it validates one operator and evaluates it as a band of
     one; reconstruction and the linearity check hand the formula the
     bands they built, exactly Hermitian and unchecked, each of at most
-    8192 cells (a band of one past d = 90); the bands of one sweep of the
-    Hermitian basis share one buffer.  A band given to
-    ``evaluate_stack`` may be read-only (reconstruction reuses its probe
-    bands, and the basis bands are read-only views) and is valid only
-    during the call: the next basis band overwrites the last.  The
+    8192 cells (a band of one past d = 90).  A band given to
+    ``evaluate_stack`` may be read-only and is valid only during the call:
+    reconstruction reuses its probe bands, and successive basis bands may
+    be the same read-only array, which the next band overwrites.  The
     formula must return k values, one per slice, or a ValidationError is
-    raised.  ``evaluate`` gets a copy of each slice as a
-    HermitianOperator, validated.
+    raised.  ``evaluate`` gets a validated HermitianOperator copy of each slice.
     """
 
     __slots__ = ("dim", "_evaluate_stack")
@@ -351,47 +349,52 @@ def _bands(dim: int, count: int):
 
 @functools.lru_cache(maxsize=8)
 def _basis_scatter(dim: int):
-    # the sweep of the d^2 basis elements in hermitian_basis order: the
-    # length of its longest band, the index pairs (rows, cols) of the cross
-    # terms, and the elements as scatter targets: element e sets flat cell
-    # above[e] of its own d x d slot of its band to upper[e] and cell below[e]
-    # to lower[e] (the same cell on the diagonal).  Building them takes
-    # 50-70 us on a 2-vCPU x86_64 VM, 14-22 % of a d <= 8 reconstruction, so
-    # the last 8 dimensions keep theirs: 56 d^2 bytes each, 57 KB at d = 32.
+    # the sweep of the d^2 basis elements in hermitian_basis order: its longest
+    # band's length, the cross terms' index pairs (rows, cols), and per band a
+    # (cells, values) pair: flat[cells] = values clears the last band's cells of
+    # a (step, d, d) buffer and writes this one's.  Built in 75-240 us (d <= 32,
+    # 2-vCPU x86_64 VM), they are kept for the last 8 dimensions: 125 KB at d = 32
     cells = dim * dim
     # bands start at multiples of the first one's length
     _, step = next(_bands(dim, cells))
-    rows, cols = np.triu_indices(dim, 1)
-    m = np.concatenate([np.arange(dim), np.repeat(rows, 2)])
-    n = np.concatenate([np.arange(dim), np.repeat(cols, 2)])
+    rows, cols = np.nonzero(~np.tri(dim, dtype=bool))  # np.triu_indices(dim, 1)
+    # element e's cells in slot e % step and values, in order: (n, n) to 1, else
+    # (m, n) and (n, m) to 1 and 1, then 1j and -1j; e's begin at max(e, 2e - d)
     slot = np.arange(cells) % step * cells
-    upper = np.concatenate([np.ones(dim), np.tile([1.0, 1.0j], len(rows))])
-    lower = np.concatenate([np.ones(dim), np.tile([1.0, -1.0j], len(rows))])
-    scatter = slot + m * dim + n, upper, slot + n * dim + m, lower
-    for part in (rows, cols, *scatter):
+    mn = np.array([rows * dim + cols, cols * dim + rows]).T[:, None]
+    targets = np.concatenate([slot[:dim] + np.arange(0, cells, dim + 1),
+                              (slot[dim:].reshape(-1, 2, 1) + mn).ravel()])
+    value = np.ones(len(targets), dtype=np.complex128)
+    value[dim + 2::4], value[dim + 3::4] = 1j, -1j
+    # a band's cells, its elements' and the last band's, are one window of
+    # targets, unique as numpy leaves the order of repeated writes open: in
+    # bands of one, a pair's imaginary term clears nothing, being on the real
+    # one's cells.  Its values are that window of its parity's array
+    starts = np.arange(0, cells, step)
+    bounds = np.array([np.maximum(starts - step, 0), starts, np.minimum(starts + step, cells)])
+    if step == 1:
+        bounds[0, dim + 1::2] = starts[dim + 1::2]
+    low, mid, high = np.maximum(bounds, 2 * bounds - dim)
+    odd = np.repeat(np.arange(len(starts)) % 2, high - mid)
+    values = np.where(odd, 0.0, value), np.where(odd, value, 0.0)
+    for part in (rows, cols, targets, *values):
         part.flags.writeable = False
-    return step, rows, cols, scatter
+    windows = zip(low.tolist(), high.tolist(), values * len(starts))
+    return step, rows, cols, tuple([(targets[a:b], v[a:b]) for a, b, v in windows])
 
 
 def _basis_bands(dim: int):
-    # hermitian_basis order, one read-only (k, dim, dim) band at a time.  Every
-    # band is a view of one buffer: drawing the next band clears the last
-    # one's cells and writes its own, so a band, and any view of it, is valid
-    # only until the next one is drawn
+    # hermitian_basis order, one band at a time, each the one read-only view
+    # of one buffer (a slice for a shorter last band), valid, with any view of
+    # it, until the next band clears its cells and writes its own
     _require_integer("dimension", dim, 1)
-    step, _, _, (above, upper, below, lower) = _basis_scatter(dim)
+    step, _, _, scatter = _basis_scatter(dim)
     buffer = np.zeros((step, dim, dim), dtype=np.complex128)
-    flat = buffer.reshape(-1)
-    last = slice(0)
-    for start, end in _bands(dim, dim * dim):
-        flat[above[last]] = 0.0
-        flat[below[last]] = 0.0
-        last = slice(start, end)
-        flat[above[last]] = upper[last]
-        flat[below[last]] = lower[last]
-        band = buffer[:end - start]
-        band.flags.writeable = False
-        yield band
+    flat, view = buffer.reshape(-1), buffer.view()
+    view.flags.writeable = False
+    for (start, end), (cells, values) in zip(_bands(dim, dim * dim), scatter):
+        flat[cells] = values
+        yield view if end - start == step else view[:end - start]
 
 
 def hermitian_basis(dim: int) -> list[HermitianOperator]:

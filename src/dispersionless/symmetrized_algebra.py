@@ -15,6 +15,7 @@ plain Python over each spectrum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,10 +215,15 @@ def _clusters(values: list[float], radius: float) -> list[tuple[int, int]]:
 
 
 def _nearest(values: list[float], cluster: np.ndarray) -> float:
-    # the value nearest the cluster's mean, the first on a tie as np.argmin
-    # takes it; numpy's sum over the length gives np.mean's bits
+    # the ascending list's value nearest the cluster's mean (np.mean's bits),
+    # first on a tie as by np.argmin; the distance falls to the mean, then rises
     mean = float(cluster.sum()) / len(cluster)
-    return min(values, key=lambda v: abs(v - mean))
+    k = bisect_left(values, mean)
+    if k == len(values) or k and abs(values[k - 1] - mean) <= abs(values[k] - mean):
+        k -= 1
+        while k and abs(values[k - 1] - mean) == abs(values[k] - mean):
+            k -= 1
+    return values[k]
 
 
 def common_generator(r, s, tol: float = COMM_TOL) -> CommonGenerator:
@@ -261,8 +267,9 @@ def _common_generator(r: HermitianOperator, s: HermitianOperator) -> CommonGener
         # the restriction of s is clustered on the scale of s itself, so a
         # block that vanishes up to roundoff stays one cluster
         for j0, j1 in _clusters(sub_values.tolist(), radius_s):
-            joint = basis @ sub_vectors[:, j0:j1]
-            t += label * (joint @ joint.conj().T)
+            if label:  # the label-0 term adds exact zeros
+                joint = basis @ sub_vectors[:, j0:j1]
+                t += label * (joint @ joint.conj().T)
             f_table[label] = r_val
             g_table[label] = _nearest(values_s, sub_values[j0:j1])
             label += 1

@@ -35,6 +35,7 @@ from dispersionless.symmetrized_algebra import (
     CROSS_SQUARE_DEFICIT,
     SQUARE_PRODUCT_DEFICIT,
     CommonGenerator,
+    _nearest,
     common_generator,
     joint_measurability_witness,
     verify_appendix1_chain,
@@ -498,6 +499,25 @@ class TestCommonGenerator:
         for gen in (common_generator(r, c * identity(dim)),
                     joint_measurability_witness(r, c * identity(dim)).generator):
             assert set(gen.g_table.values()) == {c}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_nearest_equals_the_min_rule(self, data):
+        # ascending lists with repeated values, values 1 ulp apart and means
+        # midway between neighbours, at scales 2^-60 to 2^60: the readout is
+        # min's (and np.argmin's) pick, the first in list order on a tie, a
+        # case random operators through common_generator almost never reach
+        scale = 2.0 ** data.draw(st.integers(-60, 60))
+        values = []
+        for x in data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)):
+            values += [x * scale] * data.draw(st.integers(1, 3))
+            for _ in range(data.draw(st.integers(0, 2))):
+                values.append(math.nextafter(values[-1], data.draw(st.sampled_from([-1.0, 1.0]))))
+        values.sort()
+        cluster = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=4)))
+        mean = float(cluster.sum()) / len(cluster)
+        expected = min(values, key=lambda v: abs(v - mean))
+        assert np.float64(_nearest(values, cluster)).tobytes() == np.float64(expected).tobytes()
 
     def test_non_commuting_rejected_with_norm(self):
         with pytest.raises(ValidationError, match="commutator norm"):
