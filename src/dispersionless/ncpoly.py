@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -165,12 +165,6 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     precision at the end.  Every symbol of p must be bound and all bound
     operators must share one dimension.
     """
-    return next(_evaluate((p,), bindings))
-
-
-def _evaluate(polys: Sequence[NcPolynomial],
-              bindings: Mapping[str, object]) -> Iterator[np.ndarray]:
-    # evaluate_nc of each polynomial, all reading one table of prefix products
     mats: dict[str, np.ndarray] = {}
     dim = None
     for name, op in bindings.items():
@@ -182,7 +176,7 @@ def _evaluate(polys: Sequence[NcPolynomial],
                 f"bound operators disagree on dimension: {dim} vs {m.shape[0]}"
             )
         mats[name] = m
-    missing = set().union(*(p.symbols() for p in polys)) - set(mats)
+    missing = p.symbols() - set(mats)
     if missing:
         raise ValidationError(f"unbound symbols: {sorted(missing)}")
     if dim is None:
@@ -196,9 +190,8 @@ def _evaluate(polys: Sequence[NcPolynomial],
                               else np.eye(dim, dtype=np.complex128))
         return products[word]
 
-    for p in polys:
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for word, n in sorted(p._nums.items(), key=_canonical):
-            # int true division rounds correctly, as float(Fraction(n, den)) does
-            total += n / p._den * product(word)
-        yield total
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for word, n in sorted(p._nums.items(), key=_canonical):
+        # int true division rounds correctly, as float(Fraction(n, den)) does
+        total += n / p._den * product(word)
+    return total

@@ -6,11 +6,12 @@ products of two generic symbols and equating the images of equal
 quantities forces (RS - SR)^2 = 0, i.e. the operators commute.  This
 module replays that derivation in exact rational arithmetic on every call
 and checks each expansion against hard-coded fixture polynomials, whose
-text is rendered once at import.  It complements the chain with the
-constructive converse: two commuting Hermitian operators are both
-functions of one common generator, built here by simultaneous
-diagonalization, with eigenvalue clusters split and readouts snapped in
-plain Python over each spectrum.
+text is rendered once at import; the joint-measurability witness's two
+certificates are two of them, summed as fourth-degree products in their
+term order.  It complements the chain with the constructive converse: two
+commuting Hermitian operators are both functions of one common generator,
+built here by simultaneous diagonalization, with eigenvalue clusters
+split and readouts snapped in plain Python over each spectrum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ncpoly import NcPolynomial, _evaluate, symmetrized_product
+from .ncpoly import NcPolynomial, symmetrized_product
 from .operator_core import (
     COMM_TOL,
     DEGENERACY_GAP,
@@ -302,8 +303,14 @@ def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabili
     r = as_hermitian(r)
     s = as_hermitian(s)
     cnorm = commutator_norm(r, s)
-    cross, square = map(frobenius, _evaluate(
-        (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT), {"R": r, "S": s}))
+    # CROSS_SQUARE_DEFICIT and SQUARE_PRODUCT_DEFICIT with evaluate_nc's bits and overflow
+    # order: words RSRS, RSSR, SRRS, SRSR and RRSS, RSSR, SRRS, SSRR multiplied out left
+    # to right and summed in that order, each -1 term a negated product formed after the prior sum
+    a, b = r.matrix, s.matrix
+    rs, sr = a @ b, b @ a
+    rssr = -(rs @ b @ a)
+    cross = frobenius(rs @ a @ b + rssr + (srrs := -(sr @ a @ b)) + sr @ b @ a)
+    square = frobenius(a @ a @ b @ b + rssr + srrs + b @ b @ a @ a)
     jointly = commutator_within_tol(cnorm, r, s, tol)
     return JointMeasurabilityVerdict(
         jointly_measurable=jointly,

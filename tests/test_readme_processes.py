@@ -52,6 +52,8 @@ EXAMPLES = [
     (["dispersion-witness", "--density", "@float_dim.json"], 2),
     # a product past the float range is refused, not reported as NaN
     (["jointmeas", "--a", "1e200*SX", "--b", "1e200*SY"], 2),
+    # the certificate's squared entries pass the float range first
+    (["jointmeas", "--a", "1e50*SX", "--b", "1e50*SY"], 2),
 ]
 
 # the peak RSS of one command alone: RUSAGE_CHILDREN of a fresh process

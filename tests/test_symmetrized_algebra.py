@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dispersionless import operator_core, symmetrized_algebra
 from dispersionless.cli import run_command
-from dispersionless.ncpoly import NcPolynomial, _evaluate, evaluate_nc, symmetrized_product
+from dispersionless.ncpoly import NcPolynomial, evaluate_nc, symmetrized_product
 from dispersionless.operator_core import (
     FunctionDomainError,
     HermitianOperator,
@@ -398,15 +398,13 @@ class TestEvaluateNc:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
            k=st.integers(-20, 20), extra=st.lists(TERMS, max_size=2))
-    def test_shared_table_equals_separate_evaluations(self, seed, dim, k, extra):
-        # one table of prefix products, shared by the deficits and any other
-        # polynomials, gives each the bits it has alone
+    def test_deficits_and_random_polynomials_equal_left_to_right(self, seed, dim, k, extra):
+        # shared prefixes give every polynomial the bits of its words
+        # multiplied out one by one, with unused symbols bound too
         rng = np.random.default_rng(seed)
         mats = {name: 2.0 ** k * random_hermitian(dim, rng).matrix for name in "RST"}
-        polys = [CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, *map(NcPolynomial, extra)]
-        for shared, p in zip(_evaluate(polys, mats), polys, strict=True):
-            assert np.array_equal(shared, evaluate_nc(p, mats))
-            assert np.array_equal(shared, left_to_right(p, mats, dim))
+        for p in (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, *map(NcPolynomial, extra)):
+            assert np.array_equal(evaluate_nc(p, mats), left_to_right(p, mats, dim))
 
     def test_constant_term_scales_identity(self):
         got = evaluate_nc(NcPolynomial({(): 3}) + R, {"R": SIGMA_Z})
@@ -615,7 +613,7 @@ class TestSinglePass:
         assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 4, 8, 16, 32]),
            exponents=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
            commuting=st.booleans())
     def test_certificates_equal_direct_evaluation(self, seed, dim, exponents, commuting):
@@ -632,6 +630,24 @@ class TestSinglePass:
             evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
         assert verdict.square_product_deficit_norm == frobenius(
             evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
+
+    def test_overflow_is_refused_where_direct_evaluation_refuses(self):
+        # at 1e50 the commutator's squares are finite and only the
+        # certificates overflow; at 1e150 the commutator is computed first
+        # and refuses before any fourth-degree product is formed
+        def message(f, *args):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                with pytest.raises(FloatingPointError) as info:
+                    f(*args)
+            return str(info.value)
+
+        r, s = HermitianOperator(1e50 * SIGMA_X), HermitianOperator(1e50 * SIGMA_Y)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            commutator_norm(r, s)
+        assert message(joint_measurability_witness, r, s) == message(
+            lambda: frobenius(evaluate_nc(CROSS_SQUARE_DEFICIT, {"R": r, "S": s})))
+        r, s = HermitianOperator(1e150 * SIGMA_X), HermitianOperator(1e150 * SIGMA_Y)
+        assert message(joint_measurability_witness, r, s) == message(commutator_norm, r, s)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
