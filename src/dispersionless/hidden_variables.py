@@ -19,12 +19,14 @@ the boundary rather than silently mishandled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expectation_functionals import ExpectationFunctional, PureState, _pure_state_values
-from .operator_core import ValidationError, _require_integer, as_hermitian
+from .operator_core import (PAULIS, ValidationError, _require_hermitian, _require_integer,
+                            as_hermitian)
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
@@ -43,8 +45,9 @@ class UnsupportedDimensionError(ValidationError):
 def _lambdas(x) -> np.ndarray:
     """A float64 copy of the hidden parameter values, refusing NaN and out-of-range ones."""
     lams = np.array(x, dtype=float)
-    outside = ~((lams >= LAMBDA_MIN) & (lams <= LAMBDA_MAX))
-    if outside.any():
+    # min and max read NaN if any value is NaN; a refusal names the first offender
+    if lams.size and not (LAMBDA_MIN <= lams.min() and lams.max() <= LAMBDA_MAX):
+        outside = ~((lams >= LAMBDA_MIN) & (lams <= LAMBDA_MAX))
         v = float(lams[outside][0])
         raise ValidationError(f"hidden parameter {v!r} outside [{LAMBDA_MIN}, {LAMBDA_MAX}]")
     return lams
@@ -54,18 +57,24 @@ def _require_qubit(*dims: int):
     for dim in dims:
         if dim != 2:
             raise UnsupportedDimensionError(
-                f"the subensemble model is qubit-only; got dimension {dim}"
-            )
+                f"the subensemble model is qubit-only; got dimension {dim}")
 
 
-# a 2x2 complex matrix read as 8 floats holds (re, im) of m00, m01, m10, m11;
-# its Pauli coefficients tr(m sigma_k) / 2 are (f2 + f4, f5 - f3, f0 - f6) / 2
-_PAULI_FIRST = np.array([2, 5, 0])
-_PAULI_SECOND = np.array([4, 3, 6])
-_PAULI_SECOND_SIGN = np.array([1.0, -1.0, -1.0])
+# a 2x2 complex matrix read as 8 floats holds (re, im) of m00, m01, m10, m11; tr(m) / 2
+# and tr(m sigma_k) / 2 are (f0 + f6, f2 + f4, f5 - f3, f0 - f6) / 2 (a factor 1 moves no bit)
+_PAULI_FIRST = np.array([0, 2, 5, 0])
+_PAULI_SECOND = np.array([6, 4, 3, 6])
+_PAULI_SECOND_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 # a row of entries in {-1, 0, 1} has, against these weights, the sign of its
 # first nonzero entry (4 > 2 + 1 and 2 > 1)
 _LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
+
+
+def _pauli_parts(stack: np.ndarray):
+    # trace parts and Pauli coefficients of a (k, 2, 2) band; an overflow is numpy's "add"
+    f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
+    p = (f.take(_PAULI_FIRST, axis=1) + f.take(_PAULI_SECOND, axis=1) * _PAULI_SECOND_SIGN) / 2.0
+    return p[:, 0], p[:, 1:]
 
 
 def _axis_decomposition(stack: np.ndarray):
@@ -78,9 +87,7 @@ def _axis_decomposition(stack: np.ndarray):
     share one sign variable.  A multiple of the identity has weight 0 and
     the zero axis.
     """
-    f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
-    base = (f[:, 0] + f[:, 6]) / 2.0
-    v = (f.take(_PAULI_FIRST, axis=1) + f.take(_PAULI_SECOND, axis=1) * _PAULI_SECOND_SIGN) / 2.0
+    base, v = _pauli_parts(stack)
     # each row is divided by 2^e, e the exponent of its largest component,
     # exactly (ldexp takes e itself: 2^-e overflows for a subnormal one), so
     # no square leaves the float range; its norm is multiplied back
@@ -97,14 +104,41 @@ def _axis_decomposition(stack: np.ndarray):
     return base, sign * norm, sign[:, None] * axis
 
 
-def _outcomes(bloch: np.ndarray, lams: np.ndarray, stack: np.ndarray):
-    """Outcomes of each operator of a (k, 2, 2) band at each lambda, and their averages.
+def _operator_decomposition(stack: np.ndarray):
+    """_axis_decomposition, bit for bit, one operator at a time in Python floats.
+
+    Long bands (the functional's linearity trials) take the vectorized path,
+    whose numpy calls cost nearly the same at any length; for the one or
+    three operators of assign_value, average_over_lambda and the report,
+    those calls are the cost.  The squared norms stay np.vecdot, which
+    contracts with FMA where a Python sum of squares rounds twice.
+    """
+    base, v = _pauli_parts(stack)
+    rows, exponents = [], []
+    for x, y, z in v.tolist():
+        e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+        rows.append((math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)))
+        exponents.append(e)
+    scaled = np.array(rows)
+    weights, axes = [], []
+    for (x, y, z), norm, e in zip(rows, np.sqrt(np.vecdot(scaled, scaled)).tolist(), exponents):
+        unit = max(norm, 0.5)
+        x, y, z = x / unit, y / unit, z / unit
+        sign = math.copysign(1.0, x if abs(x) > DELTA_TOL else y if abs(y) > DELTA_TOL
+                             else z if abs(z) > DELTA_TOL else 1.0)
+        # each |component| < 9e307 after the affine step, so the norm is finite
+        weights.append(sign * math.ldexp(norm, e))
+        axes.append((sign * x, sign * y, sign * z))
+    return base, np.array(weights), np.array(axes)
+
+
+def _outcomes(bloch: np.ndarray, lams: np.ndarray, base, weight, axis):
+    """Outcomes of each operator of a decomposed (k, 2, 2) band at each lambda, and their averages.
 
     The outcomes have shape (k,) + lams.shape, one contiguous row per
     operator; the closed-form averages over lambda have shape (k,).  One
     operator is a band of one.
     """
-    base, weight, axis = _axis_decomposition(stack)
     # the sign integrates to (Bloch . axis) over the parameter range
     projection = np.vecdot(axis, bloch)
     row = (-1,) + (1,) * lams.ndim
@@ -128,7 +162,8 @@ def assign_value(phi: PureState, lam, r) -> float:
     """
     r = as_hermitian(r)
     _require_qubit(r.dim, phi.dim)
-    return float(_outcomes(phi.bloch(), _lambdas(lam), r.matrix[None])[0][0])
+    parts = _operator_decomposition(r.matrix[None])
+    return float(_outcomes(phi.bloch(), _lambdas(lam), *parts)[0][0])
 
 
 def average_over_lambda(phi: PureState, r) -> float:
@@ -140,7 +175,8 @@ def average_over_lambda(phi: PureState, r) -> float:
     r = as_hermitian(r)
     _require_qubit(r.dim, phi.dim)
     # the average does not depend on the lambda passed
-    return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), r.matrix[None])[1][0])
+    parts = _operator_decomposition(r.matrix[None])
+    return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), *parts)[1][0])
 
 
 def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
@@ -154,7 +190,8 @@ def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
     _require_qubit(phi.dim)
     lam = _lambdas(lam)
     bloch = phi.bloch()
-    return ExpectationFunctional(2, evaluate_stack=lambda stack: _outcomes(bloch, lam, stack)[0])
+    return ExpectationFunctional(
+        2, evaluate_stack=lambda stack: _outcomes(bloch, lam, *_axis_decomposition(stack))[0])
 
 
 def lambda_grid(size: int) -> np.ndarray:
@@ -234,10 +271,14 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     lams = _lambdas(lambdas)
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
-    stack = np.array([r.matrix, s.matrix, (r + s).matrix])
-    values, averages = _outcomes(phi.bloch(), lams, stack)
-    # the band is Hermitian: r, s and their sum were each checked
-    quantum = _pure_state_values(phi.vector, stack)
+    # the Paulis, r, s and r + s (checked as HermitianOperator checks it): one product with
+    # phi, after the split whose overflows come first, gives the Bloch and quantum values
+    band = np.concatenate((PAULIS, r.matrix[None], s.matrix[None], r.matrix[None]))
+    np.add(r.matrix, s.matrix, out=band[5])
+    _require_hermitian(band[5])
+    parts = _operator_decomposition(band[3:])
+    values = _pure_state_values(phi.vector, band)
+    outcomes, averages = _outcomes(values[:3], lams, *parts)
     # the report's fields, in order: the columns, then the averages and the
     # quantum values of r, s and r + s
-    return SubensembleReport(phi, lams, *values, *averages.tolist(), *quantum.tolist())
+    return SubensembleReport(phi, lams, *outcomes, *averages.tolist(), *values[3:].tolist())

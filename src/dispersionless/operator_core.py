@@ -48,27 +48,29 @@ def as_square_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    _require_finite(m)
     return m
 
 
-def _require_finite(m: np.ndarray, what: str = "matrix"):
+def _require_finite(m: np.ndarray, what: str = "matrix") -> float:
     # a finite sum of squares, one BLAS dot product, proves every entry
     # finite in a fraction of the time isfinite takes on a small array
-    if not np.vdot(m, m).real < math.inf and not np.isfinite(m).all():
+    squared = np.vdot(m, m).real
+    if not squared < math.inf and not np.isfinite(m).all():
         raise ValidationError(f"{what} entries must be finite")
+    return squared
 
 
 def _require_hermitian(m: np.ndarray):
-    """Raise unless the finite square matrix m is Hermitian.
+    """Raise unless the square matrix m is finite and Hermitian.
 
     The rule is |m - m*| <= HERM_TOL * max(1, |m|), compared in squares,
     with |m| taken only when the deviation exceeds HERM_TOL, on m scaled
     by the power of two that brings its largest part below 1.  BLAS vdot
     writes no numpy warning when a square overflows, and m - m* is formed
-    unscaled only while |m|^2 is finite, where no part of it can overflow.
+    unscaled only while |m|^2 is finite, where no part of it can overflow;
+    that |m|^2 is the one the finiteness check returns.
     """
-    if np.vdot(m, m).real < math.inf:
+    if _require_finite(m) < math.inf:
         d = m - m.conj().T
         if np.vdot(d, d).real <= HERM_TOL**2:
             return
@@ -282,7 +284,9 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
 
 def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the shared wire format {"dim": n, "entries": [[[re, im], ...], ...]}."""
-    return matrices_to_json(as_square_matrix(m)[None])[0]
+    m = as_square_matrix(m)
+    _require_finite(m)
+    return matrices_to_json(m[None])[0]
 
 
 def matrices_to_json(stack: np.ndarray) -> list[dict]:

@@ -350,13 +350,13 @@ class TestAdditivityReport:
 
     def test_one_decomposition_per_operator(self, monkeypatch):
         calls = []
-        original = hidden_variables._axis_decomposition
+        original = hidden_variables._operator_decomposition
 
         def counting(stack):
             calls.append(len(stack))
             return original(stack)
 
-        monkeypatch.setattr(hidden_variables, "_axis_decomposition", counting)
+        monkeypatch.setattr(hidden_variables, "_operator_decomposition", counting)
         r, s = HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Y)
         for size in (2, 11, 500):
             calls.clear()
@@ -366,6 +366,43 @@ class TestAdditivityReport:
         calls.clear()
         assign_value(Z_PLUS, 0.1, r)
         assert calls == [1]
+
+    def test_overflow_in_the_split_is_refused(self):
+        # 1.5e308 * SZ has its z coefficient (f0 - f6) / 2 past the float range
+        r, s = HermitianOperator(1.5e308 * SIGMA_Z), HermitianOperator(SIGMA_Y)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc:
+            additivity_violation_report(Z_PLUS, r, s, lambda_grid(3))
+        assert str(exc.value) == "overflow encountered in add"
+
+    def test_sum_refused_as_its_operator_is(self):
+        # each of r and s is Hermitian relative to its own size; the sum
+        # keeps only their anti-Hermitian parts, which it is refused for
+        rng = RNG(17)
+        h = random_hermitian(2, rng).matrix
+        a = 1e-4 * np.array([[0, 1], [-1, 0]], dtype=complex)
+        r, s = HermitianOperator(1e7 * h + a), HermitianOperator(-1e7 * h + a)
+        with pytest.raises(ValidationError) as want:
+            HermitianOperator(r.matrix + s.matrix)
+        with pytest.raises(ValidationError) as got:
+            additivity_violation_report(Z_PLUS, r, s, lambda_grid(3))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("matrix is not Hermitian")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_the_band_functional(self, seed):
+        # the report decomposes r, s and r + s one at a time; the functional
+        # evaluates them as a band
+        rng = RNG(1600 + seed)
+        phi = random_qubit_state(rng)
+        r, s = random_hermitian(2, rng), random_hermitian(2, rng)
+        grid = lambda_grid(257)
+        report = additivity_violation_report(phi, r, s, grid)
+        band = np.array([r.matrix, s.matrix, (r + s).matrix])
+        for i in rng.choice(grid.size, 12, replace=False).tolist() + [0, grid.size - 1]:
+            f = subensemble_functional(phi, grid[i])
+            row = [report.values_r[i], report.values_s[i], report.values_sum[i]]
+            assert np.asarray(f._evaluate_stack(band), dtype=float).tolist() == row
+            assert [f(r), f(s), f(r + s)] == row
 
     @pytest.mark.parametrize("lambdas", [lambda_grid(10), [0.1], []], ids=["grid", "one", "empty"])
     def test_violation_fraction_is_a_python_float(self, lambdas):
@@ -468,6 +505,62 @@ class TestViolationScale:
         scaled = additivity_violation_report(phi, scale * r.matrix, scale * s.matrix, grid)
         assert scaled.violation_fraction == unit
         assert unit == (0.0 if parallel else 1.0)
+
+
+# a component exactly at DELTA_TOL of its unit axis, and one ulp to either side
+AT_TOL = [DELTA_TOL, math.nextafter(DELTA_TOL, 0.0), math.nextafter(DELTA_TOL, 1.0)]
+
+
+def pauli_matrix(base, x, y, z):
+    return np.array([[base + z, x - 1j * y], [x + 1j * y, base - z]])
+
+
+class TestDecompositionPaths:
+    """The per-operator split the report uses equals the band split bit for bit."""
+
+    @staticmethod
+    def operator(kind, rng, exponent):
+        scale = 2.0 ** exponent
+        if kind == "random":
+            return random_hermitian(2, rng).matrix * scale
+        if kind == "multiple of I":
+            return float(rng.standard_normal()) * scale * identity(2)
+        if kind == "zero":
+            return np.zeros((2, 2), dtype=complex)
+        if kind == "subnormal":
+            return random_hermitian(2, rng).matrix * 2.0 ** int(rng.integers(-1074, -1020))
+        # (x, 0, z) with |z| = 1 has unit norm in floats, so the axis keeps x
+        x, signs = AT_TOL[int(rng.integers(3))], rng.choice([-1.0, 1.0], size=2)
+        if kind == "leading x at DELTA_TOL":
+            return pauli_matrix(0.0, signs[0] * x * scale, 0.0, signs[1] * scale)
+        return pauli_matrix(0.0, 0.0, signs[0] * x * scale, signs[1] * scale)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-300, 300),
+        kinds=st.lists(st.sampled_from(["random", "multiple of I", "zero", "subnormal",
+                                        "leading x at DELTA_TOL", "leading y at DELTA_TOL"]),
+                       min_size=1, max_size=3),
+    )
+    @example(seed=0, exponent=0, kinds=["leading x at DELTA_TOL"] * 3)
+    @example(seed=0, exponent=-300, kinds=["subnormal", "zero", "multiple of I"])
+    def test_per_operator_split_equals_band_split(self, seed, exponent, kinds):
+        rng = RNG(seed)
+        band = np.array([self.operator(kind, rng, exponent) for kind in kinds])
+        got = hidden_variables._operator_decomposition(band)
+        want = hidden_variables._axis_decomposition(band)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_triples_split_equally(self, seed):
+        # many reports' worth of operators at once: a norm rounded another
+        # way (a Python sum of squares, not np.vecdot's) shows in some
+        rng = RNG(1700 + seed)
+        stack = random_hermitian_stack(2, rng, 600) * 2.0 ** rng.integers(-300, 301, (600, 1, 1))
+        for band in stack.reshape(200, 3, 2, 2):
+            got = hidden_variables._operator_decomposition(band)
+            want = hidden_variables._axis_decomposition(band)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestSubensembleFunctional:

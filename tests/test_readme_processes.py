@@ -42,11 +42,15 @@ EXAMPLES = [
     (["hv-demo", "--phi", "@sub_state.json", "--a", "SX", "--b", "SY"], 0),
     # outcomes of +-1e300, whose squares are past the float range
     (["hv-demo", "--phi", "x+", "--a", "1e300*SX", "--b", "1e300*SZ"], 0),
+    # outcomes of 1e-310, a subnormal float
+    (["hv-demo", "--phi", "x+", "--a", "1e-310*SX", "--b", "SY", "--lambda-grid-size", "3"], 0),
     # 10^5 rows written in runs of constant outcomes
     (["hv-demo", "--phi", "x+", "--a", "SX + 0.5*SZ", "--b", "SY",
       "--lambda-grid-size", "100001"], 0),
     # refusals: an error document on stdout, nothing on stderr
     (["hv-demo", "--phi", "@inf_state.json", "--a", "SX", "--b", "SY"], 2),
+    # the z coefficient of 1.5e308*SZ is past the float range: refused as an overflow
+    (["hv-demo", "--phi", "x+", "--a", "1.5e308*SZ", "--b", "SY"], 2),
     (["spectrum", "--expr", "@big_offdiag.json"], 2),
     (["spectrum", "--expr", "@anti_hermitian.json"], 2),
     (["dispersion-witness", "--density", "@float_dim.json"], 2),
