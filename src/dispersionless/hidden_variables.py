@@ -14,7 +14,10 @@ averaging: recombination, not the individual subensembles, carries the
 quantum statistics.
 
 The model is qubit-only by construction; higher dimensions are refused at
-the boundary rather than silently mishandled.
+the boundary rather than silently mishandled.  assign_value,
+average_over_lambda and the additivity report split their one or three
+operators one at a time; subensemble_functional splits whole bands.  The
+two splits agree bit for bit.
 """
 
 from __future__ import annotations
@@ -271,8 +274,9 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     lams = _lambdas(lambdas)
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
-    # the Paulis, r, s and r + s (checked as HermitianOperator checks it): one product with
-    # phi, after the split whose overflows come first, gives the Bloch and quantum values
+    # the Paulis, r, s and r + s (added over a copy of r, then checked as HermitianOperator
+    # checks it): one product with phi, after the split whose overflows come first, gives
+    # the Bloch vector and the quantum values
     band = np.concatenate((PAULIS, r.matrix[None], s.matrix[None], r.matrix[None]))
     np.add(r.matrix, s.matrix, out=band[5])
     _require_hermitian(band[5])
