@@ -60,7 +60,8 @@ def _require_qubit(*dims: int):
     for dim in dims:
         if dim != 2:
             raise UnsupportedDimensionError(
-                f"the subensemble model is qubit-only; got dimension {dim}")
+                f"the subensemble model is qubit-only; got dimension {dim}"
+            )
 
 
 # a 2x2 complex matrix read as 8 floats holds (re, im) of m00, m01, m10, m11; tr(m) / 2
@@ -275,13 +276,17 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
     # the Paulis, r, s and r + s (added over a copy of r, then checked as HermitianOperator
-    # checks it): one product with phi, after the split whose overflows come first, gives
-    # the Bloch vector and the quantum values
+    # checks it): one product with phi gives the Bloch vector and the quantum values
     band = np.concatenate((PAULIS, r.matrix[None], s.matrix[None], r.matrix[None]))
     np.add(r.matrix, s.matrix, out=band[5])
     _require_hermitian(band[5])
     parts = _operator_decomposition(band[3:])
-    values = _pure_state_values(phi.vector, band)
+    try:
+        values = _pure_state_values(phi.vector, band)
+    except FloatingPointError:
+        # an overflow of the outcomes is refused before one of the quantum values
+        _outcomes(phi.bloch(), lams, *parts)
+        raise
     outcomes, averages = _outcomes(values[:3], lams, *parts)
     # the report's fields, in order: the columns, then the averages and the
     # quantum values of r, s and r + s

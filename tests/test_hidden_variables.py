@@ -374,6 +374,17 @@ class TestAdditivityReport:
             additivity_violation_report(Z_PLUS, r, s, lambda_grid(3))
         assert str(exc.value) == "overflow encountered in add"
 
+    @pytest.mark.parametrize("lambdas", [lambda_grid(5), [-0.5]], ids=["grid", "one"])
+    def test_outcome_overflow_refused_before_the_quantum_values(self, lambdas):
+        # at the top eigenvector of 8e307 (I + SX + SZ) both its top outcome
+        # 1.93e308 and its quantum value pass the float range; the outcomes
+        # are refused first, numpy's "add"
+        r = HermitianOperator(8e307 * (identity(2) + SIGMA_X + SIGMA_Z))
+        phi = PureState([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc:
+            additivity_violation_report(phi, r, HermitianOperator(SIGMA_Y), lambdas)
+        assert str(exc.value) == "overflow encountered in add"
+
     def test_sum_refused_as_its_operator_is(self):
         # each of r and s is Hermitian relative to its own size; the sum
         # keeps only their anti-Hermitian parts, which it is refused for
