@@ -14,10 +14,9 @@ averaging: recombination, not the individual subensembles, carries the
 quantum statistics.
 
 The model is qubit-only by construction; higher dimensions are refused at
-the boundary rather than silently mishandled.  assign_value,
-average_over_lambda and the additivity report split their one or three
-operators one at a time; subensemble_functional splits whole bands.  The
-two splits agree bit for bit.
+the boundary rather than silently mishandled.  Every caller, the report's
+three operators and a functional's bands alike, splits its operators one
+at a time in Python floats.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expectation_functionals import ExpectationFunctional, PureState, _pure_state_values
-from .operator_core import (PAULIS, ValidationError, _require_hermitian, _require_integer,
-                            as_hermitian)
+from .operator_core import ValidationError, _require_hermitian, _require_integer, as_hermitian
 
 LAMBDA_MIN = -0.5
 LAMBDA_MAX = 0.5
@@ -69,16 +67,6 @@ def _require_qubit(*dims: int):
 _PAULI_FIRST = np.array([0, 2, 5, 0])
 _PAULI_SECOND = np.array([6, 4, 3, 6])
 _PAULI_SECOND_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-# a row of entries in {-1, 0, 1} has, against these weights, the sign of its
-# first nonzero entry (4 > 2 + 1 and 2 > 1)
-_LEAD_WEIGHTS = np.array([4.0, 2.0, 1.0])
-
-
-def _pauli_parts(stack: np.ndarray):
-    # trace parts and Pauli coefficients of a (k, 2, 2) band; an overflow is numpy's "add"
-    f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
-    p = (f.take(_PAULI_FIRST, axis=1) + f.take(_PAULI_SECOND, axis=1) * _PAULI_SECOND_SIGN) / 2.0
-    return p[:, 0], p[:, 1:]
 
 
 def _axis_decomposition(stack: np.ndarray):
@@ -91,58 +79,45 @@ def _axis_decomposition(stack: np.ndarray):
     share one sign variable.  A multiple of the identity has weight 0 and
     the zero axis.
     """
-    base, v = _pauli_parts(stack)
+    # one numpy expression, so an overflow under errstate raise is numpy's "add"
+    f = np.ascontiguousarray(stack).view(np.float64).reshape(-1, 8)
+    p = (f.take(_PAULI_FIRST, axis=1) + f.take(_PAULI_SECOND, axis=1) * _PAULI_SECOND_SIGN) / 2.0
     # each row is divided by 2^e, e the exponent of its largest component,
     # exactly (ldexp takes e itself: 2^-e overflows for a subnormal one), so
-    # no square leaves the float range; its norm is multiplied back
-    e = np.frexp(abs(v).max(axis=1))[1]
-    v = np.ldexp(v, -e[:, None])
-    norm = np.sqrt(np.vecdot(v, v))
-    # a scaled row is 0, or has its largest component and norm at least 1/2
-    axis = v / np.maximum(norm, 0.5)[:, None]
-    norm = np.ldexp(norm, e)
-    # the sign of the first component above DELTA_TOL; a unit 3-vector has a
-    # component of size >= 1/sqrt(3), so one exists unless the axis is zero
-    lead = np.vecdot(np.copysign(np.abs(axis) > DELTA_TOL, axis), _LEAD_WEIGHTS)
-    sign = np.where(lead < 0.0, -1.0, 1.0)
-    return base, sign * norm, sign[:, None] * axis
-
-
-def _operator_decomposition(stack: np.ndarray):
-    """_axis_decomposition, bit for bit, one operator at a time in Python floats.
-
-    Long bands (the functional's linearity trials) take the vectorized path,
-    whose numpy calls cost nearly the same at any length; for the one or
-    three operators of assign_value, average_over_lambda and the report,
-    those calls are the cost.  The squared norms stay np.vecdot, which
-    contracts with FMA where a Python sum of squares rounds twice.
-    """
-    base, v = _pauli_parts(stack)
+    # no square leaves the float range; its norm is multiplied back.  Python
+    # floats beat numpy's per-call overhead on the few operators of a report
+    # or a basis band and cost more per operator on long bands
     rows, exponents = [], []
-    for x, y, z in v.tolist():
+    for x, y, z in p[:, 1:].tolist():
         e = math.frexp(max(abs(x), abs(y), abs(z)))[1]
         rows.append((math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(z, -e)))
         exponents.append(e)
-    scaled = np.array(rows)
+    # np.vecdot contracts with FMA where a Python sum of squares rounds twice
+    scaled = np.array(rows).reshape(-1, 3)
+    norms = np.sqrt(np.vecdot(scaled, scaled)).tolist()
     weights, axes = [], []
-    for (x, y, z), norm, e in zip(rows, np.sqrt(np.vecdot(scaled, scaled)).tolist(), exponents):
+    for (x, y, z), norm, e in zip(rows, norms, exponents):
+        # a scaled row is 0, or has its largest component and norm at least 1/2
         unit = max(norm, 0.5)
         x, y, z = x / unit, y / unit, z / unit
+        # the sign of the first component above DELTA_TOL; a unit 3-vector has a
+        # component of size >= 1/sqrt(3), so one exists unless the axis is zero
         sign = math.copysign(1.0, x if abs(x) > DELTA_TOL else y if abs(y) > DELTA_TOL
                              else z if abs(z) > DELTA_TOL else 1.0)
-        # each |component| < 9e307 after the affine step, so the norm is finite
+        # a finite (a +- b) / 2 is below 9e307, so its norm is a finite float
         weights.append(sign * math.ldexp(norm, e))
         axes.append((sign * x, sign * y, sign * z))
-    return base, np.array(weights), np.array(axes)
+    return p[:, 0], np.array(weights), np.array(axes).reshape(-1, 3)
 
 
-def _outcomes(bloch: np.ndarray, lams: np.ndarray, base, weight, axis):
-    """Outcomes of each operator of a decomposed (k, 2, 2) band at each lambda, and their averages.
+def _outcomes(bloch: np.ndarray, lams: np.ndarray, stack: np.ndarray):
+    """Outcomes of each operator of a (k, 2, 2) band at each lambda, and their averages.
 
     The outcomes have shape (k,) + lams.shape, one contiguous row per
     operator; the closed-form averages over lambda have shape (k,).  One
     operator is a band of one.
     """
+    base, weight, axis = _axis_decomposition(stack)
     # the sign integrates to (Bloch . axis) over the parameter range
     projection = np.vecdot(axis, bloch)
     row = (-1,) + (1,) * lams.ndim
@@ -166,8 +141,7 @@ def assign_value(phi: PureState, lam, r) -> float:
     """
     r = as_hermitian(r)
     _require_qubit(r.dim, phi.dim)
-    parts = _operator_decomposition(r.matrix[None])
-    return float(_outcomes(phi.bloch(), _lambdas(lam), *parts)[0][0])
+    return float(_outcomes(phi.bloch(), _lambdas(lam), r.matrix[None])[0][0])
 
 
 def average_over_lambda(phi: PureState, r) -> float:
@@ -179,8 +153,7 @@ def average_over_lambda(phi: PureState, r) -> float:
     r = as_hermitian(r)
     _require_qubit(r.dim, phi.dim)
     # the average does not depend on the lambda passed
-    parts = _operator_decomposition(r.matrix[None])
-    return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), *parts)[1][0])
+    return float(_outcomes(phi.bloch(), _lambdas(LAMBDA_MIN), r.matrix[None])[1][0])
 
 
 def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
@@ -194,8 +167,7 @@ def subensemble_functional(phi: PureState, lam) -> ExpectationFunctional:
     _require_qubit(phi.dim)
     lam = _lambdas(lam)
     bloch = phi.bloch()
-    return ExpectationFunctional(
-        2, evaluate_stack=lambda stack: _outcomes(bloch, lam, *_axis_decomposition(stack))[0])
+    return ExpectationFunctional(2, evaluate_stack=lambda stack: _outcomes(bloch, lam, stack)[0])
 
 
 def lambda_grid(size: int) -> np.ndarray:
@@ -275,19 +247,13 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     lams = _lambdas(lambdas)
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
-    # the Paulis, r, s and r + s (added over a copy of r, then checked as HermitianOperator
-    # checks it): one product with phi gives the Bloch vector and the quantum values
-    band = np.concatenate((PAULIS, r.matrix[None], s.matrix[None], r.matrix[None]))
-    np.add(r.matrix, s.matrix, out=band[5])
-    _require_hermitian(band[5])
-    parts = _operator_decomposition(band[3:])
-    try:
-        values = _pure_state_values(phi.vector, band)
-    except FloatingPointError:
-        # an overflow of the outcomes is refused before one of the quantum values
-        _outcomes(phi.bloch(), lams, *parts)
-        raise
-    outcomes, averages = _outcomes(values[:3], lams, *parts)
+    # r + s is added into the band and checked as HermitianOperator checks a matrix
+    stack = np.array([r.matrix, s.matrix, r.matrix])
+    np.add(r.matrix, s.matrix, out=stack[2])
+    _require_hermitian(stack[2])
+    values, averages = _outcomes(phi.bloch(), lams, stack)
+    # the band is Hermitian: r, s and their sum were each checked
+    quantum = _pure_state_values(phi.vector, stack)
     # the report's fields, in order: the columns, then the averages and the
     # quantum values of r, s and r + s
-    return SubensembleReport(phi, lams, *outcomes, *averages.tolist(), *values[3:].tolist())
+    return SubensembleReport(phi, lams, *values, *averages.tolist(), *quantum.tolist())
