@@ -180,38 +180,40 @@ def _leaf_layout(newline: str, depth: int):
     return "[" + "".join(opens) + starts[depth], seams, "".join(ends)
 
 
-def _json_rows(columns: dict[str, np.ndarray]) -> str:
-    """The text _dumps gives, as the value of a top-level key, for the list
-    of row objects {key: column[i]} of equal-length float64 columns, one of
-    them under "lambda".
+def _json_rows(columns: dict[str, np.ndarray]) -> list[str]:
+    """The pieces whose join is the text _dumps gives, as the value of a
+    top-level key, for the list of row objects {key: column[i]} of
+    equal-length float64 columns, one of them under "lambda".
 
     The rows are written in runs over which every other column keeps its
     bits, so -0.0 stays apart from 0.0 and one NaN from another.  One
     json.dumps call formats the lambdas and one the other columns at each
     run's start, which gives the stdlib's text (float repr, NaN, Infinity)
-    by construction.  Each run's row text is written once with an empty
-    slot for lambda, and the run's lambda texts are joined into it.
+    by construction.
     """
     keys = sorted(columns)
     count = len(columns["lambda"])
     if count == 0:
-        return "[]"
+        return ["[]"]
     item = "\n" + " " * (2 * JSON_INDENT)
     field = item + " " * JSON_INDENT
     steps = np.stack([columns[key] for key in keys if key != "lambda"])
     bits = steps.view(np.int64)
     starts = [0, *(np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1).tolist()]
-    lambdas = json.dumps(columns["lambda"].tolist())[1:-1].split(", ")
     values = iter(json.dumps(steps[:, starts].T.ravel().tolist())[1:-1].split(", "))
     names = [json.dumps(key) + ": " for key in keys]
     slot = keys.index("lambda")
-    runs = []
+    # lambda texts at odd places, the text before and after each at even ones
+    pieces = ["[" + item, ""] + ["," + item, ""] * (count - 1) + ["\n" + " " * JSON_INDENT + "]"]
+    pieces[1::2] = json.dumps(columns["lambda"].tolist())[1:-1].split(", ")
     for start, stop in zip(starts, starts[1:] + [count]):
         cells = [name if key == "lambda" else name + next(values) for key, name in zip(keys, names)]
         head = "{" + field + ("," + field).join(cells[:slot + 1])
         tail = "".join("," + field + cell for cell in cells[slot + 1:]) + item + "}"
-        runs.append(head + (tail + "," + item + head).join(lambdas[start:stop]) + tail)
-    return "[" + item + ("," + item).join(runs) + "\n" + " " * JSON_INDENT + "]"
+        pieces[2 * start] += head
+        pieces[2 * start + 2:2 * stop:2] = [tail + "," + item + head] * (stop - start - 1)
+        pieces[2 * stop] = tail + pieces[2 * stop]
+    return pieces
 
 
 def _hv_demo_json(report) -> str:
@@ -223,7 +225,8 @@ def _hv_demo_json(report) -> str:
     columns = {"lambda": report.lambdas, "vR": report.values_r, "vS": report.values_s,
                "vRplusS": report.values_sum, "delta": report.deltas}
     # a quote inside a JSON string is escaped, so this is the top-level key
-    return header.replace('"pairs": []', '"pairs": ' + _json_rows(columns), 1)
+    before, _, after = header.partition('"pairs": []')
+    return "".join([before, '"pairs": ', *_json_rows(columns), after])
 
 
 def _verdict_json(exc: FunctionalViolation) -> dict:
@@ -467,7 +470,7 @@ def cmd_hv_demo(args) -> int:
     a = parse_hermitian(args.a)
     b = parse_hermitian(args.b)
     report = additivity_violation_report(phi, a, b, lambda_grid(args.lambda_grid_size))
-    lines = [
+    print(_hv_demo_json(report) if args.output_format == "json" else "\n".join([
         f"subensemble outcomes for phi={args.phi}, R={args.a}, S={args.b} "
         f"over {args.lambda_grid_size} lambda points:",
         f"  per-point additivity violations: {report.violation_fraction:.4f} of grid",
@@ -476,8 +479,7 @@ def cmd_hv_demo(args) -> int:
         f"    R:     {_fmt(report.average_r)} vs {_fmt(report.quantum_r)}",
         f"    S:     {_fmt(report.average_s)} vs {_fmt(report.quantum_s)}",
         f"    R + S: {_fmt(report.average_sum)} vs {_fmt(report.quantum_sum)}",
-    ]
-    print(_hv_demo_json(report) if args.output_format == "json" else "\n".join(lines))
+    ]))
     return EXIT_OK
 
 

@@ -560,9 +560,9 @@ def check_linearity(
     (always including the deterministic non-commuting witness pair with
     unit weights).  Commuting trials draw pairs that are increasing
     functions of one shared generator, combined with non-negative weights:
-    additivity over such jointly measurable combinations is exactly the
-    weakened assumption that survives the counterexamples killing the
-    unrestricted form.  The trials are drawn a band at a time, as many of
+    co-monotone pairs only, a part of the commuting pairs, so
+    max_eigenvalue_functional passes them though it is not additive on
+    |0><0| and |1><1|.  The trials are drawn a band at a time, as many of
     each kind per band as fit with the witness pair in 8192 cells (at
     least one): the unrestricted pairs and weights, then the commuting
     ones.  Each band, the witness pair leading the first, reaches the

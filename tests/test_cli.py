@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1079,6 +1080,23 @@ class TestHvDemoRows:
         expected = json.dumps(hv_demo_payload(report), indent=2, sort_keys=True)
         assert cli._hv_demo_json(report) == expected
         assert '"pairs": []' in expected
+
+
+def test_hv_demo_json_is_joined_once():
+    # the rows are joined into the document once: the traced peak holds the
+    # report and the captured copy of it, not a rows text and a spliced copy
+    argv = ["hv-demo", "--phi", "z+", "--a", "SX", "--b", "SY",
+            "--lambda-grid-size", "100000", "--format", "json"]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.5 * len(out.getvalue())
 
 
 def random_density(dim, seed):
