@@ -13,7 +13,6 @@ from .operator_core import (
     HERM_TOL,
     FunctionDomainError,
     HermitianOperator,
-    Spectrum,
     ValidationError,
     SIGMA_X,
     SIGMA_Y,
@@ -28,14 +27,11 @@ from .operator_core import (
     random_hermitian,
 )
 from .expectation_functionals import (
-    DM_GAP,
-    DM_TOL,
     LIN_TOL,
     AdditivityViolation,
     DensityMatrix,
     ExpectationFunctional,
     FunctionalViolation,
-    LinearityReport,
     NormalizationViolation,
     PositivityViolation,
     PureState,
@@ -49,10 +45,7 @@ from .expectation_functionals import (
 )
 from .ncpoly import NcPolynomial, evaluate_nc, symmetrized_product
 from .symmetrized_algebra import (
-    ChainReport,
-    ChainStep,
     CommonGenerator,
-    JointMeasurabilityVerdict,
     common_generator,
     joint_measurability_witness,
     verify_appendix1_chain,

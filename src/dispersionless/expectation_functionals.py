@@ -348,52 +348,45 @@ def _bands(dim: int, count: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _basis_scatter(dim: int):
-    # the sweep of the d^2 basis elements in hermitian_basis order: its longest
-    # band's length, the cross terms' index pairs (rows, cols), and per band a
-    # (cells, values) pair: flat[cells] = values clears the last band's cells of
-    # a (step, d, d) buffer and writes this one's.  Built in 75-240 us (d <= 32,
-    # 2-vCPU x86_64 VM), they are kept for the last 8 dimensions: 125 KB at d = 32
-    cells = dim * dim
-    # bands start at multiples of the first one's length
-    _, step = next(_bands(dim, cells))
+def _basis_table(dim: int):
+    # the sweep's band length step (bands start at its multiples), the cross
+    # terms' index pairs (rows, cols), and the d^2 basis elements in
+    # hermitian_basis order: element e's flat cells in a (step, d, d) buffer,
+    # slot e % step, are cells[begins[e]:begins[e + 1]], begins[e] =
+    # max(e, 2e - d), with their values: (n, n) to 1, else (m, n) and (n, m)
+    # to 1 and 1, then 1j and -1j.  Built in 18-51 us (d <= 32, 2-vCPU x86_64
+    # VM), kept for the last 8 dimensions: 89 KB at d = 32
+    count = dim * dim
+    _, step = next(_bands(dim, count))
     rows, cols = np.nonzero(~np.tri(dim, dtype=bool))  # np.triu_indices(dim, 1)
-    # element e's cells in slot e % step and values, in order: (n, n) to 1, else
-    # (m, n) and (n, m) to 1 and 1, then 1j and -1j; e's begin at max(e, 2e - d)
-    slot = np.arange(cells) % step * cells
+    slot = np.arange(count) % step * count
     mn = np.array([rows * dim + cols, cols * dim + rows]).T[:, None]
-    targets = np.concatenate([slot[:dim] + np.arange(0, cells, dim + 1),
-                              (slot[dim:].reshape(-1, 2, 1) + mn).ravel()])
-    value = np.ones(len(targets), dtype=np.complex128)
-    value[dim + 2::4], value[dim + 3::4] = 1j, -1j
-    # a band's cells, its elements' and the last band's, are one window of
-    # targets, unique as numpy leaves the order of repeated writes open: in
-    # bands of one, a pair's imaginary term clears nothing, being on the real
-    # one's cells.  Its values are that window of its parity's array
-    starts = np.arange(0, cells, step)
-    bounds = np.array([np.maximum(starts - step, 0), starts, np.minimum(starts + step, cells)])
-    if step == 1:
-        bounds[0, dim + 1::2] = starts[dim + 1::2]
-    low, mid, high = np.maximum(bounds, 2 * bounds - dim)
-    odd = np.repeat(np.arange(len(starts)) % 2, high - mid)
-    values = np.where(odd, 0.0, value), np.where(odd, value, 0.0)
-    for part in (rows, cols, targets, *values):
+    cells = np.concatenate([slot[:dim] + np.arange(0, count, dim + 1),
+                            (slot[dim:].reshape(-1, 2, 1) + mn).ravel()])
+    values = np.ones(len(cells), dtype=np.complex128)
+    values[dim + 2::4], values[dim + 3::4] = 1j, -1j
+    for part in (rows, cols, cells, values):
         part.flags.writeable = False
-    windows = zip(low.tolist(), high.tolist(), values * len(starts))
-    return step, rows, cols, tuple([(targets[a:b], v[a:b]) for a, b, v in windows])
+    e = np.arange(count + 1)
+    return step, rows, cols, tuple(np.maximum(e, 2 * e - dim).tolist()), cells, values
 
 
 def _basis_bands(dim: int):
     # hermitian_basis order, one band at a time, each the one read-only view
     # of one buffer (a slice for a shorter last band), valid, with any view of
-    # it, until the next band clears its cells and writes its own
+    # it, until the next band clears the last one's cells and writes its own:
+    # two assignments, each of unique cells, as numpy leaves the order of
+    # repeated writes open (past d = 90 a pair's two terms share their cells)
     _require_integer("dimension", dim, 1)
-    step, _, _, scatter = _basis_scatter(dim)
+    step, _, _, begins, cells, values = _basis_table(dim)
     buffer = np.zeros((step, dim, dim), dtype=np.complex128)
     flat, view = buffer.reshape(-1), buffer.view()
     view.flags.writeable = False
-    for (start, end), (cells, values) in zip(_bands(dim, dim * dim), scatter):
-        flat[cells] = values
+    last = cells[:0]
+    for start, end in _bands(dim, dim * dim):
+        flat[last] = 0
+        last = cells[begins[start]:begins[end]]
+        flat[last] = values[begins[start]:begins[end]]
         yield view if end - start == step else view[:end - start]
 
 
@@ -495,7 +488,7 @@ def _reconstruct(f, probe_count, seed, lin_tol) -> tuple[np.ndarray, DensityMatr
             raise NormalizationViolation(norm_value)
 
         u = np.diag(values[:dim].astype(np.complex128))
-        _, rows, cols, _ = _basis_scatter(dim)
+        rows, cols = _basis_table(dim)[1:3]
         upper = (values[dim::2] + 1j * values[dim + 1::2]) / 2.0
         u[rows, cols] = upper
         u[cols, rows] = upper.conj()

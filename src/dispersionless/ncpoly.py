@@ -127,17 +127,9 @@ class NcPolynomial:
                 for word, n in sorted(self._nums.items(), key=_canonical)]
 
     def __str__(self):
-        if not self._nums:
-            return "0"
-        parts = []
-        for word, n in sorted(self._nums.items(), key=_canonical):
-            # the reduced coefficient, printed as str(Fraction) prints it
-            common = gcd(n, self._den)
-            den = self._den // common
-            coeff = f"{n // common}/{den}" if den != 1 else f"{n // common}"
-            name = "".join(word) if word else "1"
-            parts.append(f"{coeff}*{name}")
-        return " + ".join(parts)
+        # each coefficient as str(Fraction) prints it, the empty word as 1
+        terms = [f"{coeff}*{''.join(word) or '1'}" for word, coeff in self.sorted_terms()]
+        return " + ".join(terms) or "0"
 
     def __repr__(self):
         return f"NcPolynomial({self})"

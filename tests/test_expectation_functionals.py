@@ -184,9 +184,18 @@ class TestHermitianBasis:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 32, 33, 64, 91])
     def test_scatter_cells_are_unique_within_a_band(self, dim):
-        # numpy leaves the order of a fancy write with repeated indices open
-        for cells, values in ef._basis_scatter(dim)[3]:
-            assert len(np.unique(cells)) == len(cells) == len(values)
+        # numpy leaves the order of a fancy write with repeated indices open:
+        # each band clears the last band's cells, then writes its own, and
+        # element e's cells in the table begin at max(e, 2e - d)
+        _, _, _, begins, cells, values = ef._basis_table(dim)
+        assert begins == tuple(max(e, 2 * e - dim) for e in range(dim * dim + 1))
+        assert len(cells) == len(values) == begins[-1] == dim + 2 * (dim * dim - dim)
+        last = cells[:0]
+        for start, end in ef._bands(dim, dim * dim):
+            band = cells[begins[start]:begins[end]]
+            for assigned in (last, band):
+                assert len(np.unique(assigned)) == len(assigned)
+            last = band
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 32, 33])
     def test_bands_are_read_only(self, dim):
