@@ -247,9 +247,8 @@ def additivity_violation_report(phi: PureState, r, s, lambdas) -> SubensembleRep
     lams = _lambdas(lambdas)
     if lams.ndim != 1:
         raise ValidationError(f"lambdas must be one-dimensional, got shape {lams.shape}")
-    # r + s is added into the band and checked as HermitianOperator checks a matrix
-    stack = np.array([r.matrix, s.matrix, r.matrix])
-    np.add(r.matrix, s.matrix, out=stack[2])
+    # r + s is checked as HermitianOperator checks a matrix
+    stack = np.array([r.matrix, s.matrix, r.matrix + s.matrix])
     _require_hermitian(stack[2])
     values, averages = _outcomes(phi.bloch(), lams, stack)
     # the band is Hermitian: r, s and their sum were each checked

@@ -10,6 +10,7 @@ identity check is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from numbers import Rational
 from typing import Mapping
@@ -152,10 +153,10 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     """Substitute matrices for symbols and evaluate.
 
     Words become left-to-right matrix products, the empty word the
-    identity; each word prefix is multiplied out once and shared by the
-    words that extend it.  Rational coefficients convert exactly to double
-    precision at the end.  Every symbol of p must be bound and all bound
-    operators must share one dimension.
+    identity; each word is multiplied out on its own, in the canonical
+    term order.  Rational coefficients convert exactly to double precision
+    at the end.  Every symbol of p must be bound and all bound operators
+    must share one dimension.
     """
     mats: dict[str, np.ndarray] = {}
     dim = None
@@ -174,16 +175,10 @@ def evaluate_nc(p: NcPolynomial, bindings: Mapping[str, object]) -> np.ndarray:
     if dim is None:
         # constant polynomial with no bindings has no intrinsic dimension
         raise ValidationError("at least one binding is required")
-    products: dict[Word, np.ndarray] = {(name,): m for name, m in mats.items()}
-
-    def product(word: Word) -> np.ndarray:
-        if word not in products:
-            products[word] = (product(word[:-1]) @ mats[word[-1]] if word
-                              else np.eye(dim, dtype=np.complex128))
-        return products[word]
-
     total = np.zeros((dim, dim), dtype=np.complex128)
     for word, n in sorted(p._nums.items(), key=_canonical):
+        product = (reduce(np.matmul, [mats[name] for name in word]) if word
+                   else np.eye(dim, dtype=np.complex128))
         # int true division rounds correctly, as float(Fraction(n, den)) does
-        total += n / p._den * product(word)
+        total += n / p._den * product
     return total

@@ -7,11 +7,12 @@ quantities forces (RS - SR)^2 = 0, i.e. the operators commute.  This
 module replays that derivation in exact rational arithmetic on every call
 and checks each expansion against hard-coded fixture polynomials, whose
 text is rendered once at import; the joint-measurability witness's two
-certificates are two of them, summed as fourth-degree products in their
-term order.  It complements the chain with the constructive converse: two
-commuting Hermitian operators are both functions of one common generator,
-built here by simultaneous diagonalization, with eigenvalue clusters
-split and readouts snapped in plain Python over each spectrum.
+certificates are the values of two of them, formed from the one matrix
+commutator C as C·C and C·C + R·C·S - S·C·R.  It complements the chain
+with the constructive converse: two commuting Hermitian operators are
+both functions of one common generator, built here by simultaneous
+diagonalization, with eigenvalue clusters split and readouts snapped in
+plain Python over each spectrum.
 """
 
 from __future__ import annotations
@@ -291,26 +292,25 @@ class JointMeasurabilityVerdict:
 def joint_measurability_witness(r, s, tol: float = COMM_TOL) -> JointMeasurabilityVerdict:
     """Decide joint measurability of two Hermitian operators.
 
-    Commuting pairs come back with a CommonGenerator.  Non-commuting pairs
-    carry two certificates: the commutator norm, and the Frobenius norm of
-    the cross-square deficit (RS)^2 + (SR)^2 - (RS)(SR) - (SR)(RS), which
-    equals ||(RS - SR)^2|| identically and is strictly positive exactly
-    when the pair fails to commute.  The square-product deficit
-    R^2S^2 + S^2R^2 - (RS)(SR) - (SR)(RS) is reported alongside.  The
-    commutator norm is computed once and decides the verdict; tol must be
+    Commuting pairs come back with a CommonGenerator.  Every verdict
+    carries three norms of the commutator C = RS - SR, formed once: ||C||,
+    which decides the verdict, and the two certificates ||C·C|| and
+    ||C·C + R·C·S - S·C·R||.  In the free algebra C·C is the cross-square
+    deficit (RS)^2 + (SR)^2 - (RS)(SR) - (SR)(RS) and the second is the
+    square-product deficit R^2S^2 + S^2R^2 - (RS)(SR) - (SR)(RS), so both
+    vanish on a commuting pair, and forming them from C keeps a nearly
+    commuting pair's small certificate from cancelling away.  tol must be
     finite and positive, or ValidationError is raised.
     """
     r = as_hermitian(r)
     s = as_hermitian(s)
-    cnorm = commutator_norm(r, s)
-    # CROSS_SQUARE_DEFICIT and SQUARE_PRODUCT_DEFICIT with evaluate_nc's bits and overflow
-    # order: words RSRS, RSSR, SRRS, SRSR and RRSS, RSSR, SRRS, SSRR multiplied out left
-    # to right and summed in that order, each -1 term a negated product formed after the prior sum
+    r._require_same_dim(s)
     a, b = r.matrix, s.matrix
-    rs, sr = a @ b, b @ a
-    rssr = -(rs @ b @ a)
-    cross = frobenius(rs @ a @ b + rssr + (srrs := -(sr @ a @ b)) + sr @ b @ a)
-    square = frobenius(a @ a @ b @ b + rssr + srrs + b @ b @ a @ a)
+    c = a @ b - b @ a  # as commutator_norm forms it
+    cnorm = frobenius(c)
+    cc = c @ c
+    cross = frobenius(cc)
+    square = frobenius(cc + a @ c @ b - b @ c @ a)
     jointly = commutator_within_tol(cnorm, r, s, tol)
     return JointMeasurabilityVerdict(
         jointly_measurable=jointly,

@@ -608,6 +608,21 @@ all steps hold: jointly measurable quantities must commute
         assert data["jointly_measurable"] is False
         assert data["generator"] is None
 
+    def test_jointmeas_nearly_commuting_certificate(self, capsys):
+        # C = AB - BA = 2e-3i·SY, so ||C·C|| = 4e-6·||I|| = 4√2·1e-6; the
+        # fourth-degree words RSRS, ... are about 1e12 each and their sum
+        # would cancel to 0
+        argv = ("jointmeas", "--a", "1000*SZ", "--b", "1000*SZ + 0.000001*SX")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["jointly_measurable"] is False
+        exact = 4 * math.sqrt(2) * 1e-6
+        assert abs(data["commutator_square_norm"] - exact) <= 1e-12 * exact
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "certificate |(AB-BA)^2|: 0.00000566\n" in out
+
     def test_jointmeas_tiny_eigenvalue_gap(self, capsys):
         # the eigenvalues +-1e-9 of B are far apart on the scale of B
         code, out, _ = run(capsys, "jointmeas", "--a", "I", "--b", "0.000000001*SZ",

@@ -1,7 +1,8 @@
 """Free-algebra engine and symmetrized-product chain tests.
 
 Numeric oracles: Pauli products computed by hand (sx sy = i sz and kin),
-and explicit matrix arithmetic for every certificate the witness reports.
+explicit matrix arithmetic for every certificate the witness reports, and
+exact rational evaluation of the deficits on nearly commuting pairs.
 """
 
 import itertools
@@ -112,6 +113,31 @@ def left_to_right(p, mats, dim):
             acc = acc @ mats[name]
         total += float(coeff) * acc
     return total
+
+
+def exact_matrix(m):
+    """A float matrix's entries as exact (real, imaginary) Fraction pairs."""
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m.tolist()]
+
+
+def exact_product(x, y):
+    return [[(sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
+              sum(a * d + b * c for (a, b), (c, d) in zip(row, col)))
+             for col in zip(*y)] for row in x]
+
+
+def exact_norm(p, mats):
+    """Frobenius norm of p's value, its words multiplied out in exact rationals;
+    only the final square root rounds."""
+    dim = len(next(iter(mats.values())))
+    total = [[(Fraction(0), Fraction(0))] * dim for _ in range(dim)]
+    for word, coeff in p.sorted_terms():
+        acc = mats[word[0]]
+        for name in word[1:]:
+            acc = exact_product(acc, mats[name])
+        total = [[(t[0] + coeff * a[0], t[1] + coeff * a[1]) for t, a in zip(trow, arow)]
+                 for trow, arow in zip(total, acc)]
+    return math.sqrt(sum(re * re + im * im for row in total for re, im in row))
 
 
 def generator_oracle(r, s):
@@ -358,6 +384,11 @@ class TestChain:
             "RSRS": (1, 1), "SRSR": (1, 1), "RSSR": (-1, 1), "SRRS": (-1, 1),
         })
 
+    def test_square_product_deficit_from_commutator(self):
+        # the witness's second certificate: C·C + R·C·S - S·C·R with C = RS - SR
+        comm = R * S - S * R
+        assert comm * comm + R * comm * S - S * comm * R == SQUARE_PRODUCT_DEFICIT
+
 
 class TestEvaluateNc:
     def test_pauli_commutator(self):
@@ -385,7 +416,8 @@ class TestEvaluateNc:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32])
     def test_equals_left_to_right_products(self, dim):
-        # shared prefixes change which products are formed, not their bits
+        # each word multiplied out on its own, from its first matrix, has
+        # the bits of the same word multiplied out from the identity
         rng = np.random.default_rng(900 + dim)
         mats = {"R": random_hermitian(dim, rng).matrix, "S": random_hermitian(dim, rng).matrix}
         words = [w for n in range(5) for w in itertools.product("RS", repeat=n)]
@@ -399,8 +431,8 @@ class TestEvaluateNc:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 32]),
            k=st.integers(-20, 20), extra=st.lists(TERMS, max_size=2))
     def test_deficits_and_random_polynomials_equal_left_to_right(self, seed, dim, k, extra):
-        # shared prefixes give every polynomial the bits of its words
-        # multiplied out one by one, with unused symbols bound too
+        # every polynomial has the bits of its words multiplied out from the
+        # identity and summed in canonical order, with unused symbols bound too
         rng = np.random.default_rng(seed)
         mats = {name: 2.0 ** k * random_hermitian(dim, rng).matrix for name in "RST"}
         for p in (CROSS_SQUARE_DEFICIT, SQUARE_PRODUCT_DEFICIT, *map(NcPolynomial, extra)):
@@ -600,6 +632,8 @@ class TestSinglePass:
     @pytest.mark.parametrize("b, jointly", [(np.diag([3.0, 7.0]), True), (SIGMA_X, False)],
                              ids=["commuting", "non-commuting"])
     def test_one_commutator_per_witness(self, monkeypatch, b, jointly):
+        # the witness forms C = AB - BA itself, once, and derives every norm
+        # from it; commutator_norm would form a second commutator
         calls = []
 
         def counting(x, y):
@@ -610,7 +644,7 @@ class TestSinglePass:
             monkeypatch.setattr(module, "commutator_norm", counting)
         verdict = joint_measurability_witness(HermitianOperator(SIGMA_Z), HermitianOperator(b))
         assert verdict.jointly_measurable is jointly
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 4, 8, 16, 32]),
@@ -624,12 +658,62 @@ class TestSinglePass:
             r, s = random_hermitian(dim, rng), random_hermitian(dim, rng)
         r, s = (HermitianOperator(2.0 ** k * op.matrix) for k, op in zip(exponents, (r, s)))
         verdict = joint_measurability_witness(r, s)
-        bindings = {"R": r, "S": s}
         assert verdict.commutator_norm == commutator_norm(r, s)
-        assert verdict.commutator_square_norm == frobenius(
-            evaluate_nc(CROSS_SQUARE_DEFICIT, bindings))
-        assert verdict.square_product_deficit_norm == frobenius(
-            evaluate_nc(SQUARE_PRODUCT_DEFICIT, bindings))
+        # the certificates are these polynomials' values by exact identities
+        # (TestChain checks both), so they differ from the words multiplied
+        # out one by one only by roundoff: each d×d product errs by at most
+        # about d·eps·||X||·||Y||, and either side makes about eight such
+        # errors of size ||R||²·||S||²
+        bound = 16 * dim * np.finfo(float).eps * (r.norm() * s.norm()) ** 2
+        bindings = {"R": r, "S": s}
+        for got, p in ((verdict.commutator_square_norm, CROSS_SQUARE_DEFICIT),
+                       (verdict.square_product_deficit_norm, SQUARE_PRODUCT_DEFICIT)):
+            assert abs(got - frobenius(evaluate_nc(p, bindings))) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "commuting", "pauli"]),
+           j=st.integers(-20, 20), k=st.integers(-20, 20))
+    def test_norms_are_power_of_two_covariant(self, seed, kind, j, k):
+        # scaling R by 2^j and S by 2^k scales C by 2^(j+k) and every
+        # fourth-degree product by 2^(2j+2k), each exactly
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        if kind == "commuting":
+            r, s = commuting_pair_from_tables(dim, rng)
+        elif kind == "pauli":
+            paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+            r, s = (HermitianOperator(paulis[i]) for i in rng.integers(0, 3, size=2))
+        else:
+            r, s = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        base = joint_measurability_witness(r, s)
+        scaled = joint_measurability_witness(HermitianOperator(2.0 ** j * r.matrix),
+                                             HermitianOperator(2.0 ** k * s.matrix))
+        assert scaled.jointly_measurable is base.jointly_measurable
+        assert scaled.commutator_norm == 2.0 ** (j + k) * base.commutator_norm
+        assert scaled.commutator_square_norm == 2.0 ** (2 * j + 2 * k) * base.commutator_square_norm
+        assert (scaled.square_product_deficit_norm
+                == 2.0 ** (2 * j + 2 * k) * base.square_product_deficit_norm)
+
+    def test_nearly_commuting_certificates_match_exact_values(self):
+        # R = f(T) and S = g(T) + 1e-6·H, eigenvalues up to 1e3: each
+        # fourth-degree word is about 1e12 while ||(RS - SR)^2|| is about
+        # 1e-6, so summing the words leaves roundoff only (relative errors
+        # of 1e4-1e6 seen).  From C, whose entries err by about
+        # d·eps·||R||·||S|| ≈ 1e-9 against ||C|| ≈ 1e-3, each certificate
+        # carries a relative error near 1e-6; the bound leaves a factor 100
+        rng = np.random.default_rng(35)
+        for dim in (2, 3, 4) * 10:
+            t = random_hermitian(dim, rng)
+            fvals, gvals = rng.uniform(-1e3, 1e3, dim), rng.uniform(-1e3, 1e3, dim)
+            r = apply_function(lambda x: fvals, t)
+            s = HermitianOperator(apply_function(lambda x: gvals, t).matrix
+                                  + 1e-6 * random_hermitian(dim, rng).matrix)
+            verdict = joint_measurability_witness(r, s)
+            mats = {"R": exact_matrix(r.matrix), "S": exact_matrix(s.matrix)}
+            for got, p in ((verdict.commutator_square_norm, CROSS_SQUARE_DEFICIT),
+                           (verdict.square_product_deficit_norm, SQUARE_PRODUCT_DEFICIT)):
+                exact = exact_norm(p, mats)
+                assert abs(got - exact) <= 1e-4 * exact
 
     def test_overflow_is_refused_where_direct_evaluation_refuses(self):
         # at 1e50 the commutator's squares are finite and only the
