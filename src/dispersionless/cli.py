@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -47,7 +48,6 @@ from .operator_core import (
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
-    matrices_to_json,
 )
 from .symmetrized_algebra import joint_measurability_witness, verify_appendix1_chain
 
@@ -113,8 +113,7 @@ def _dumps(payload) -> str:
 
     The stdlib indents only in its pure-Python encoder.  Here the payload is
     walked into a %-template of its layout; its keys and scalars are written
-    by one call of the C encoder, and each list whose leaves sit at one
-    depth by one call of its own.
+    by one call of the C encoder.
     """
     scalars = []
     template = _layout(payload, "\n", scalars)
@@ -134,9 +133,6 @@ def _layout(value, newline: str, scalars: list) -> str:
             items.append("%s: " + _layout(value[key], inner, scalars))
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        text = _leaf_array(value, newline)
-        if text is not None:
-            return text
         items = [_layout(item, inner, scalars) for item in value]
         brackets = "[]"
     else:
@@ -145,39 +141,6 @@ def _layout(value, newline: str, scalars: list) -> str:
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
-def _leaf_array(value, newline: str) -> str | None:
-    # _layout of a list whose leaves (numbers, bools, None) all sit at one
-    # depth, with no empty list, from its compact text; None for any other
-    if not value or isinstance(value[0], (str, dict)):
-        return None
-    text = json.dumps(value)
-    depth = len(text) - len(text.lstrip("["))
-    if '"' in text or "{" in text or "[]" in text or not text.endswith("]" * depth):
-        return None
-    head, seams, tail = _leaf_layout(newline, depth)
-    body = text[depth:-depth]
-    for compact, indented in seams:
-        body = body.replace(compact, indented)
-    text = head + body + tail
-    # past the first leaf the depth rises only at a seam with more "[" than
-    # "]", and that leaves a "[" beside a leaf
-    return text if text.count("[") == text.count("[\n") else None
-
-
-@functools.lru_cache(maxsize=64)
-def _leaf_layout(newline: str, depth: int):
-    # for _leaf_array: the text before the first leaf, the (compact,
-    # indented) seams "]" * j + ", " + "[" * j between leaves, widest first,
-    # none of them left with a ", ", and the text after the last leaf
-    starts = [newline + " " * (JSON_INDENT * level) for level in range(depth + 1)]
-    ends = [start + "]" for start in reversed(starts[:depth])]
-    opens = [start + "[" for start in starts[1:depth]]
-    seams = tuple(("]" * j + ", " + "[" * j,
-                   "".join(ends[:j]) + "," + "".join(opens[depth - 1 - j:]) + starts[depth])
-                  for j in reversed(range(depth)))
-    return "[" + "".join(opens) + starts[depth], seams, "".join(ends)
 
 
 def _json_rows(columns: dict[str, np.ndarray]) -> list[str]:
@@ -227,6 +190,48 @@ def _hv_demo_json(report) -> str:
     # a quote inside a JSON string is escaped, so this is the top-level key
     before, _, after = header.partition('"pairs": []')
     return "".join([before, '"pairs": ', *_json_rows(columns), after])
+
+
+@functools.lru_cache(maxsize=8)
+def _zero_row(dim: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    # a transcript row as _dumps writes it, for the zero probe and the value 0.0, in blocks
+    # (each probe row, then the value to the row's end), and each scalar's offset in its
+    # block; every scalar, and no key or dim, reads "0.0"
+    text = _dumps({"t": [{"probe": matrix_to_json(np.zeros((dim, dim))), "value": 0.0}]})
+    *gaps, tail = text[text.index("{", 1):text.rindex("}", 0, -1) + 1].split("0.0")
+    blocks = ["0.0".join(gaps[i:i + 2 * dim]) + "0.0" for i in range(0, len(gaps), 2 * dim)]
+    return (*blocks[:-1], blocks[-1] + tail), tuple(
+        at - 3 for i in range(0, len(gaps), 2 * dim)
+        for at in itertools.accumulate(len(gap) + 3 for gap in gaps[i:i + 2 * dim]))
+
+
+def _reconstruct_json(payload: dict, values: np.ndarray) -> str:
+    """_dumps of the reconstruct payload with {"probe": matrix_to_json(e), "value": v} for each
+    basis element e and its value v, in _basis_bands order, in its empty transcript.
+
+    Each row is the cached zero row with the scalars whose bits are not +0.0 written in, from
+    one json.dumps call per band; the blocks it leaves alone are shared, and it is joined once.
+    """
+    dim = math.isqrt(len(values))
+    blocks, ats = _zero_row(dim)
+    # a quote inside a JSON string is escaped, so this is the top-level key
+    before, _, after = _dumps(payload).partition('"transcript": []')
+    pieces, start = [before, '"transcript": ['], 0
+    for band in _basis_bands(dim):
+        scalars = np.column_stack([band.view(np.float64).reshape(len(band), -1),
+                                   values[start:start + len(band)]])
+        start += len(band)
+        elements, cells = np.nonzero(scalars.view(np.int64))
+        texts = json.dumps(scalars[elements, cells].tolist())[1:-1].split(", ")
+        rows = [list(blocks) for _ in band]
+        # last first, so a longer text leaves the earlier offsets in place
+        for element, cell, text in zip(elements[::-1].tolist(), cells[::-1].tolist(), texts[::-1]):
+            row, block, at = rows[element], cell // (2 * dim), ats[cell]
+            row[block] = row[block][:at] + text + row[block][at + 3:]
+        for row in rows:
+            pieces += [",", "\n" + " " * (2 * JSON_INDENT), *row]
+    pieces[2] = ""  # no comma before the first row
+    return "".join([*pieces, "\n" + " " * JSON_INDENT + "]", after])
 
 
 def _verdict_json(exc: FunctionalViolation) -> dict:
@@ -386,13 +391,10 @@ def cmd_reconstruct(args) -> int:
             "recovered the density matrix of its trace form:",
         ]
     if args.output_format == "json":
-        # the transcript: each basis element beside the functional's value on it
-        probes = [p for band in _basis_bands(functional.dim) for p in matrices_to_json(band)]
-        transcript = [{"probe": p, "value": v} for p, v in zip(probes, values.tolist())]
         result = ({"density": matrix_to_json(density.matrix)} if violation is None
                   else {"verdict": _verdict_json(violation)})
-        lines = [_dumps(_payload("reconstruct", passed=violation is None, functional=label,
-                                 transcript=transcript, **result))]
+        lines = [_reconstruct_json(_payload("reconstruct", passed=violation is None,
+                                            functional=label, transcript=[], **result), values)]
     elif violation is None:
         lines += _matrix_lines(density.matrix)
     print("\n".join(lines))
@@ -493,9 +495,14 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # build_parser's parser, and each command's subparser by name
     parser = argparse.ArgumentParser(
         prog="dispersionless",
         description="Hermitian-operator toolkit: density-matrix reconstruction, "
@@ -503,12 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a qubit subensemble model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, handler, summary):
-        p = sub.add_parser(name, help=summary)
+        p = commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="output_format", help="report format")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, command=name)
         return p
 
     command("verify-appendix1", cmd_verify_appendix1,
@@ -550,14 +558,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spectrum", cmd_spectrum, "eigenvalues of an operator expression")
     p.add_argument("--expr", required=True, help="operator expression")
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # build_parser().parse_args(argv), whose top-level pass hands all that
+    # follows a command's name to its subparser: here that subparser alone
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def run_command(argv: list[str]) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:

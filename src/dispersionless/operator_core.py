@@ -286,14 +286,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     """Serialize to the shared wire format {"dim": n, "entries": [[[re, im], ...], ...]}."""
     m = as_square_matrix(m)
     _require_finite(m)
-    return matrices_to_json(m[None])[0]
-
-
-def matrices_to_json(stack: np.ndarray) -> list[dict]:
-    """matrix_to_json of each slice of a finite (k, d, d) complex array, in one conversion."""
-    dim = stack.shape[-1]
-    return [{"dim": dim, "entries": entries}
-            for entries in np.stack((stack.real, stack.imag), axis=-1).tolist()]
+    return {"dim": m.shape[0], "entries": np.stack((m.real, m.imag), axis=-1).tolist()}
 
 
 def complex_from_pairs(pairs, what: str) -> np.ndarray:
