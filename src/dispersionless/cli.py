@@ -4,7 +4,8 @@ Exit codes: 0 when every check a command runs passes, 1 when a
 verification fails (a chain step breaks, a functional violates one of the
 state axioms, no dispersion witness exists), 2 on usage, parse, or input
 errors.  With ``--format json`` every report, including failures, is a
-single JSON document with a top-level ``"schema": 1`` marker.
+single JSON document with a top-level ``"schema": 1`` marker, in the layout
+of ``json.dumps(report, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -108,44 +109,9 @@ def _payload(command: str, **fields) -> dict:
     return out
 
 
-def _dumps(payload) -> str:
-    """json.dumps(payload, indent=JSON_INDENT, sort_keys=True), for dicts with str keys.
-
-    The stdlib indents only in its pure-Python encoder.  Here the payload is
-    walked into a %-template of its layout; its keys and scalars are written
-    by one call of the C encoder.
-    """
-    scalars = []
-    template = _layout(payload, "\n", scalars)
-    # compact JSON holds no newline, so newlines part the scalars' texts
-    texts = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n") if scalars else []
-    return template % tuple(texts)
-
-
-def _layout(value, newline: str, scalars: list) -> str:
-    # the text of value at the level newline opens, with a %s for each key
-    # and scalar, which go to scalars in order
-    inner = newline + " " * JSON_INDENT
-    if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            scalars.append(key)
-            items.append("%s: " + _layout(value[key], inner, scalars))
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_layout(item, inner, scalars) for item in value]
-        brackets = "[]"
-    else:
-        scalars.append(value)
-        return "%s"
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
-
-
 def _json_rows(columns: dict[str, np.ndarray]) -> list[str]:
-    """The pieces whose join is the text _dumps gives, as the value of a
-    top-level key, for the list of row objects {key: column[i]} of
+    """The pieces whose join is the text json.dumps(..., indent=JSON_INDENT, sort_keys=True)
+    gives, as the value of a top-level key, for the list of row objects {key: column[i]} of
     equal-length float64 columns, one of them under "lambda".
 
     The rows are written in runs over which every other column keeps its
@@ -180,11 +146,12 @@ def _json_rows(columns: dict[str, np.ndarray]) -> list[str]:
 
 
 def _hv_demo_json(report) -> str:
-    """_dumps of the hv-demo payload, with the "pairs" rows written from the report's columns."""
-    header = _dumps(_payload(
+    """The hv-demo report as json.dumps(..., indent=JSON_INDENT, sort_keys=True) writes it,
+    with the "pairs" rows written from the report's columns."""
+    header = json.dumps(_payload(
         "hv-demo", passed=True, phi=[[float(z.real), float(z.imag)] for z in report.phi.vector],
         pairs=[], avg_delta=report.avg_delta, violation_fraction=report.violation_fraction,
-    ))
+    ), indent=JSON_INDENT, sort_keys=True)
     columns = {"lambda": report.lambdas, "vR": report.values_r, "vS": report.values_s,
                "vRplusS": report.values_sum, "delta": report.deltas}
     # a quote inside a JSON string is escaped, so this is the top-level key
@@ -194,10 +161,11 @@ def _hv_demo_json(report) -> str:
 
 @functools.lru_cache(maxsize=8)
 def _zero_row(dim: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    # a transcript row as _dumps writes it, for the zero probe and the value 0.0, in blocks
+    # a transcript row as the stdlib lays it out, for the zero probe and the value 0.0, in blocks
     # (each probe row, then the value to the row's end), and each scalar's offset in its
     # block; every scalar, and no key or dim, reads "0.0"
-    text = _dumps({"t": [{"probe": matrix_to_json(np.zeros((dim, dim))), "value": 0.0}]})
+    text = json.dumps({"t": [{"probe": matrix_to_json(np.zeros((dim, dim))), "value": 0.0}]},
+                      indent=JSON_INDENT, sort_keys=True)
     *gaps, tail = text[text.index("{", 1):text.rindex("}", 0, -1) + 1].split("0.0")
     blocks = ["0.0".join(gaps[i:i + 2 * dim]) + "0.0" for i in range(0, len(gaps), 2 * dim)]
     return (*blocks[:-1], blocks[-1] + tail), tuple(
@@ -206,8 +174,9 @@ def _zero_row(dim: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 def _reconstruct_json(payload: dict, values: np.ndarray) -> str:
-    """_dumps of the reconstruct payload with {"probe": matrix_to_json(e), "value": v} for each
-    basis element e and its value v, in _basis_bands order, in its empty transcript.
+    """json.dumps(payload, indent=JSON_INDENT, sort_keys=True) with {"probe": matrix_to_json(e),
+    "value": v} for each basis element e and its value v, in _basis_bands order, in its empty
+    transcript.
 
     Each row is the cached zero row with the scalars whose bits are not +0.0 written in, from
     one json.dumps call per band; the blocks it leaves alone are shared, and it is joined once.
@@ -215,7 +184,8 @@ def _reconstruct_json(payload: dict, values: np.ndarray) -> str:
     dim = math.isqrt(len(values))
     blocks, ats = _zero_row(dim)
     # a quote inside a JSON string is escaped, so this is the top-level key
-    before, _, after = _dumps(payload).partition('"transcript": []')
+    before, _, after = json.dumps(payload, indent=JSON_INDENT, sort_keys=True).partition(
+        '"transcript": []')
     pieces, start = [before, '"transcript": ['], 0
     for band in _basis_bands(dim):
         scalars = np.column_stack([band.view(np.float64).reshape(len(band), -1),
@@ -246,7 +216,7 @@ def _verdict_json(exc: FunctionalViolation) -> dict:
 
 def _emit(output_format: str, payload: dict, lines: list[str]):
     if output_format == "json":
-        print(_dumps(payload))
+        print(json.dumps(payload, indent=JSON_INDENT, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -258,7 +228,7 @@ def _error_payload(command: str, exc: Exception) -> dict:
 
 def _emit_error(output_format: str, command: str, exc: Exception, code: int) -> int:
     if output_format == "json":
-        print(_dumps(_error_payload(command, exc)))
+        print(json.dumps(_error_payload(command, exc), indent=JSON_INDENT, sort_keys=True))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code

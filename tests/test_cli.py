@@ -1188,7 +1188,7 @@ def test_hv_demo_json_is_joined_once():
 def test_reconstruct_json_is_joined_once():
     # the rows share the zero row's untouched blocks and are joined into the
     # document once, so no copy of the rows is alive beside it (1.24x on
-    # Python 3.11; probe dicts walked by _dumps read 4.98x)
+    # Python 3.11; a probe dict per basis element, walked into its text, read 4.98x)
     argv = ["reconstruct", "--functional", "maxeig", "--dim", "16", "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
         run_command(argv)  # fills the zero row's cache
@@ -1361,41 +1361,6 @@ class TestReconstructTranscript:
         values = [np.trace(u @ op.matrix).real for op in hermitian_basis(3)]
         assert len(data["transcript"]) == 9
         assert [row["value"] for row in data["transcript"]] == pytest.approx(values, abs=1e-12)
-
-
-JSON_TEXT = st.text(st.sampled_from([",", " ", "[", "]", '"', "\n", "\\", "{", "}", "%", ":",
-                                     "a", "é", "λ", "\u2028", "\x00"]), max_size=6)
-JSON_SCALARS = (
-    st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 10**400, -(10**30)])
-    | st.integers(-(2**70), 2**70) | st.booleans() | st.none()
-)
-NUMERIC_ARRAYS = st.recursive(
-    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner),
-    max_leaves=24,
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS | JSON_TEXT | NUMERIC_ARRAYS,
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner)
-    | st.dictionaries(JSON_TEXT, inner, max_size=4),
-    max_leaves=30,
-)
-
-
-class TestJsonWriter:
-    """_dumps writes the bytes json.dumps(..., indent=2, sort_keys=True) writes."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(payload=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
-    def test_equals_stdlib(self, payload):
-        assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("payload", [
-        [[1, 2], [3]], [[1], [[2]], [3]], [[1, [2]], [3, 4]], [[1], []], [[[1]], [2]],
-        [0, [[1]]], [[1.5, -0.0], (2, 3)], [[1, "a, b"]], [[1, {}]], [[[1, 2], [3, 4]]], [],
-    ], ids=repr)
-    def test_arrays_of_mixed_depth(self, payload):
-        assert cli._dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 BIG = "9" * 401

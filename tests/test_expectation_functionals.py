@@ -100,6 +100,15 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState([1.0, 0.0, 0.0]).bloch()
 
+    @pytest.mark.parametrize("k", [0.75, 1.5])
+    def test_norm_tolerance_is_dm_tol(self, k):
+        # DM_TOL = 1e-9: a norm off 1 by 0.75 of it is accepted, by 1.5 of it refused
+        if k < 1:
+            PureState([1 + k * 1e-9, 0])
+        else:
+            with pytest.raises(ValidationError, match="norm"):
+                PureState([1 + k * 1e-9, 0])
+
 
 class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
@@ -127,6 +136,26 @@ class TestDensityMatrix:
         with pytest.raises(violation, match="violates A'") as assembled:
             reconstruct_density(f, lin_tol=1.5)
         assert getattr(assembled.value, field) == value
+
+    @pytest.mark.parametrize("k", [0.75, 1.5])
+    def test_negative_eigenvalue_tolerance_is_dm_tol(self, k):
+        # DM_TOL = 1e-9: an eigenvalue of -0.75e-9 is accepted, one of -1.5e-9 refused
+        diagonal = np.diag([1 + k * 1e-9, -k * 1e-9])
+        if k < 1:
+            DensityMatrix(diagonal)
+        else:
+            with pytest.raises(ValidationError, match="negative eigenvalue"):
+                DensityMatrix(diagonal)
+
+    @pytest.mark.parametrize("k", [0.75, 1.5])
+    def test_trace_tolerance_is_dm_tol(self, k):
+        # DM_TOL = 1e-9: a trace off 1 by 0.75e-9 is accepted, by 1.5e-9 refused
+        diagonal = np.diag([0.5 + k * 0.5e-9] * 2)
+        if k < 1:
+            DensityMatrix(diagonal)
+        else:
+            with pytest.raises(ValidationError, match="trace"):
+                DensityMatrix(diagonal)
 
     def test_random_is_valid(self):
         rng = RNG(1)
