@@ -100,10 +100,10 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState([1.0, 0.0, 0.0]).bloch()
 
-    @pytest.mark.parametrize("k", [0.75, 1.5])
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
     def test_norm_tolerance_is_dm_tol(self, k):
-        # DM_TOL = 1e-9: a norm off 1 by 0.75 of it is accepted, by 1.5 of it refused
-        if k < 1:
+        # DM_TOL = 1e-9: a norm off 1 by 0.75 of it, either way, is accepted, by 1.5 of it refused
+        if abs(k) < 1:
             PureState([1 + k * 1e-9, 0])
         else:
             with pytest.raises(ValidationError, match="norm"):
@@ -147,11 +147,11 @@ class TestDensityMatrix:
             with pytest.raises(ValidationError, match="negative eigenvalue"):
                 DensityMatrix(diagonal)
 
-    @pytest.mark.parametrize("k", [0.75, 1.5])
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
     def test_trace_tolerance_is_dm_tol(self, k):
-        # DM_TOL = 1e-9: a trace off 1 by 0.75e-9 is accepted, by 1.5e-9 refused
+        # DM_TOL = 1e-9: a trace off 1 by 0.75e-9, either way, is accepted, by 1.5e-9 refused
         diagonal = np.diag([0.5 + k * 0.5e-9] * 2)
-        if k < 1:
+        if abs(k) < 1:
             DensityMatrix(diagonal)
         else:
             with pytest.raises(ValidationError, match="trace"):

@@ -482,13 +482,13 @@ class TestCommonGenerator:
         with pytest.raises(FunctionDomainError, match="eigenvalue 0.5"):
             gen.reconstruct()
 
-    @pytest.mark.parametrize("k", [0.75, 1.5])
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
     def test_label_tolerance_is_table_match_tol(self, k):
-        # TABLE_MATCH_TOL = 1e-6: an eigenvalue 0.75e-6 from label 1 reads it, 1.5e-6 from it
-        # reads no label
+        # TABLE_MATCH_TOL = 1e-6: an eigenvalue 0.75e-6 above or below label 1 reads it, one
+        # 1.5e-6 from it reads no label
         gen = CommonGenerator(HermitianOperator(np.diag([0.0, 1 + k * 1e-6])), {0: 2.0, 1: 3.0},
                               {0: -1.0, 1: 5.0})
-        if k < 1:
+        if abs(k) < 1:
             r2, s2 = gen.reconstruct()
             np.testing.assert_array_equal(np.diag(r2.matrix).real, [2.0, 3.0])
             np.testing.assert_array_equal(np.diag(s2.matrix).real, [-1.0, 5.0])
