@@ -3,9 +3,11 @@
 Exit codes: 0 when every check a command runs passes, 1 when a
 verification fails (a chain step breaks, a functional violates one of the
 state axioms, no dispersion witness exists), 2 on usage, parse, or input
-errors.  With ``--format json`` every report, including failures, is a
-single JSON document with a top-level ``"schema": 1`` marker, in the layout
-of ``json.dumps(report, indent=2, sort_keys=True)``.
+errors.  A refused option value or input file (read by
+operator_core.read_json_file) is a ValidationError, or an ExprEvalError
+inside an expression.  With ``--format json`` every report, including
+failures, is a single JSON document with a top-level ``"schema": 1``
+marker, in the layout of ``json.dumps(report, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ from .operator_core import (
     COMM_TOL,
     HermitianOperator,
     ValidationError,
+    _require_tol,
     complex_from_pairs,
     eigendecompose,
     matrix_from_json,
     matrix_to_json,
+    read_json_file,
 )
 from .symmetrized_algebra import joint_measurability_witness, verify_appendix1_chain
 
@@ -69,15 +73,11 @@ MAX_LAMBDA_GRID_SIZE = 1_000_000
 JSON_INDENT = 2
 
 
-class CliInputError(Exception):
-    """Bad command-line input outside the expression language."""
-
-
 def _seed(args) -> int:
     """--seed, else $DISPERSIONLESS_SEED, else DEFAULT_SEED; never negative."""
     if args.seed is not None:
         if args.seed < 0:
-            raise CliInputError(f"--seed must be non-negative, got {args.seed}")
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -85,22 +85,17 @@ def _seed(args) -> int:
     try:
         seed = int(raw)
     except ValueError:
-        raise CliInputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     if seed < 0:
-        raise CliInputError(f"{SEED_ENV_VAR} must be non-negative, got {raw!r}")
+        raise ValidationError(f"{SEED_ENV_VAR} must be non-negative, got {raw!r}")
     return seed
 
 
 def _check_count(flag: str, value: int, low: int, high: int):
     if value < low:
-        raise CliInputError(f"{flag} must be at least {low}")
+        raise ValidationError(f"{flag} must be at least {low}")
     if value > high:
-        raise CliInputError(f"{flag} must be at most {high}")
-
-
-def _check_tol(flag: str, tol: float):
-    if not 0.0 < tol < math.inf:
-        raise CliInputError(f"{flag} must be finite and positive, got {tol!r}")
+        raise ValidationError(f"{flag} must be at most {high}")
 
 
 def _payload(command: str, **fields) -> dict:
@@ -246,36 +241,17 @@ def _matrix_lines(matrix) -> list[str]:
     return lines
 
 
-def _strip_at(path: str) -> str:
-    return path[1:] if path.startswith("@") else path
-
-
-def _load_json_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path!r} is not valid JSON: {exc}") from exc
+def _state_from_json(obj) -> PureState:
+    if not isinstance(obj, list):
+        raise ValidationError("a state must be a JSON list of [re, im] pairs")
+    return PureState.normalized(complex_from_pairs(obj, "state vector"))
 
 
 def state_from_spec(spec: str) -> PureState:
     """A cardinal label (z+, x-, ...) or @file with a complex vector."""
     if spec.startswith("@"):
-        obj = _load_json_file(spec[1:])
-        if not isinstance(obj, list):
-            raise CliInputError(
-                f"state file {spec[1:]!r} must hold a JSON list of [re, im] pairs"
-            )
-        try:
-            return PureState.normalized(complex_from_pairs(obj, "state vector"))
-        except ValidationError as exc:
-            raise CliInputError(f"bad state vector in {spec[1:]!r}: {exc}") from exc
-    try:
-        return PureState.from_label(spec)
-    except ValidationError as exc:
-        raise CliInputError(str(exc)) from exc
+        return read_json_file(spec[1:], _state_from_json)
+    return PureState.from_label(spec)
 
 
 def functional_from_spec(spec: str, dim: int | None) -> tuple[ExpectationFunctional, str]:
@@ -289,25 +265,25 @@ def functional_from_spec(spec: str, dim: int | None) -> tuple[ExpectationFunctio
         return max_eigenvalue_functional(dim), f"maxeig(dim={dim})"
     kind, sep, rest = spec.partition(":")
     if not sep:
-        raise CliInputError(
+        raise ValidationError(
             f"unknown functional spec {spec!r}; expected trace:@file, "
             "pure:<state>, maxeig, or hv:<state>:<lambda>"
         )
     if kind == "trace":
-        matrix = matrix_from_json(_load_json_file(_strip_at(rest)))
+        matrix = read_json_file(rest.removeprefix("@"), matrix_from_json)
         return trace_functional(HermitianOperator(matrix)), f"trace:{rest}"
     if kind == "pure":
         return pure_state_functional(state_from_spec(rest)), f"pure:{rest}"
     if kind == "hv":
         state_spec, sep2, lam_text = rest.rpartition(":")
         if not sep2:
-            raise CliInputError("hv functional needs a state and a lambda, e.g. hv:z+:0.3")
+            raise ValidationError("hv functional needs a state and a lambda, e.g. hv:z+:0.3")
         try:
             lam = float(lam_text)
         except ValueError:
-            raise CliInputError(f"bad lambda value {lam_text!r}") from None
+            raise ValidationError(f"bad lambda value {lam_text!r}") from None
         return subensemble_functional(state_from_spec(state_spec), lam), f"hv:{state_spec}:{lam}"
-    raise CliInputError(f"unknown functional kind {kind!r}")
+    raise ValidationError(f"unknown functional kind {kind!r}")
 
 
 def cmd_verify_appendix1(args) -> int:
@@ -336,14 +312,14 @@ def cmd_verify_appendix1(args) -> int:
 def cmd_reconstruct(args) -> int:
     seed = _seed(args)
     _check_count("--trials", args.trials, 1, MAX_TRIALS)
-    _check_tol("--lin-tol", args.lin_tol)
+    _require_tol("--lin-tol", args.lin_tol)
     functional, label = functional_from_spec(args.functional, args.dim)
     if args.dim is not None and args.dim != functional.dim:
-        raise CliInputError(
+        raise ValidationError(
             f"--dim {args.dim} does not match the dimension {functional.dim} of {label}"
         )
     if functional.dim > MAX_DIM:
-        raise CliInputError(
+        raise ValidationError(
             f"reconstruct handles dimension at most {MAX_DIM}, got {functional.dim}"
         )
     try:
@@ -372,7 +348,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_dispersion_witness(args) -> int:
-    matrix = matrix_from_json(_load_json_file(_strip_at(args.density)))
+    matrix = read_json_file(args.density.removeprefix("@"), matrix_from_json)
     density = DensityMatrix(matrix)
     try:
         witness, value = dispersion_witness(density)
@@ -393,7 +369,7 @@ def cmd_dispersion_witness(args) -> int:
 
 
 def cmd_jointmeas(args) -> int:
-    _check_tol("--comm-tol", args.comm_tol)
+    _require_tol("--comm-tol", args.comm_tol)
     a = parse_hermitian(args.a)
     b = parse_hermitian(args.b)
     verdict = joint_measurability_witness(a, b, tol=args.comm_tol)
@@ -552,7 +528,7 @@ def run_command(argv: list[str]) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args)
-    except (ExprError, CliInputError, ValidationError, FloatingPointError) as exc:
+    except (ExprError, ValidationError, FloatingPointError) as exc:
         return _emit_error(args.output_format, args.command, exc, EXIT_USAGE)
 
 

@@ -19,7 +19,6 @@ looks up names.  '(' and calls nest at most MAX_NESTING levels deep.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .operator_core import (
     identity,
     indicator_outside,
     matrix_from_json,
+    read_json_file,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -214,20 +214,6 @@ class _Scalar:
 CONSTANTS = {"SX": SIGMA_X, "SY": SIGMA_Y, "SZ": SIGMA_Z, "I": _Scalar(1.0, identity=True)}
 
 
-def _load_matrix_file(path: str, pos) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ExprEvalError(f"cannot read matrix file {path!r}: {exc}", *pos) from exc
-    except json.JSONDecodeError as exc:
-        raise ExprEvalError(f"matrix file {path!r} is not valid JSON: {exc}", *pos) from exc
-    try:
-        return matrix_from_json(obj)
-    except ValidationError as exc:
-        raise ExprEvalError(f"matrix file {path!r}: {exc}", *pos) from exc
-
-
 def _require_same_shape(left, right, pos):
     if left.shape != right.shape:
         raise ExprEvalError(f"dimension mismatch: {left.shape[0]} vs {right.shape[0]}", *pos)
@@ -307,7 +293,10 @@ def evaluate_matrix(program) -> np.ndarray:
                 raise ExprEvalError(f"unknown identifier {arg!r}", *pos)
             stack.append(CONSTANTS[arg])
         elif op == "file":
-            stack.append(_load_matrix_file(arg, pos))
+            try:
+                stack.append(read_json_file(arg, matrix_from_json))
+            except ValidationError as exc:
+                raise ExprEvalError(str(exc), *pos) from exc
         elif op == "call":
             stack.append(_apply_call(arg, stack.pop(), pos))
         else:

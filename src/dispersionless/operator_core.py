@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -25,6 +26,9 @@ DEGENERACY_GAP = 1e-8
 # how far a computed eigenvalue of a common generator may sit from the
 # integer label it is read out as
 TABLE_MATCH_TOL = 1e-6
+# the byte cap on an input file: 12x the largest reconstruct input (32 x 32, 17-digit
+# parts, 3-digit exponents: 84 KB at indent 2), and operators to d = 110 at indent 2
+MAX_INPUT_BYTES = 1 << 20
 
 
 class ValidationError(ValueError):
@@ -296,7 +300,7 @@ def complex_from_pairs(pairs, what: str) -> np.ndarray:
     the entries in the error for an integer beyond the float range.
     """
     for cell in pairs:
-        # the types json.load gives are tried before the abstract ones
+        # the types json.loads gives are tried before the abstract ones
         if (type(cell) is not list and (isinstance(cell, str) or not isinstance(cell, Sequence))
                 or len(cell) != 2):
             raise ValidationError("JSON entries must be [re, im] pairs")
@@ -308,7 +312,8 @@ def complex_from_pairs(pairs, what: str) -> np.ndarray:
     try:
         parts = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     except OverflowError:
-        # json.load parses an integer of any length exactly
+        # json.loads parses an integer of up to 4300 digits (the default
+        # sys.get_int_max_str_digits()) exactly, and refuses a longer one
         raise ValidationError(f"{what} entries must be finite") from None
     return parts.view(np.complex128)[:, 0]
 
@@ -335,3 +340,23 @@ def matrix_from_json(obj) -> np.ndarray:
     m = complex_from_pairs(cells, "matrix").reshape(dim, dim)
     _require_finite(m)
     return m
+
+
+def read_json_file(path: str, convert: Callable):
+    """convert of the JSON document in the file at path, or one ValidationError naming the file.
+
+    Reads at most MAX_INPUT_BYTES + 1 bytes, and of a regular file its size + 1 (a pipe's is 0),
+    so a longer file or pipe is refused with no more of it held, as is a file that cannot be
+    read, is not UTF-8 JSON, nests past the parser's recursion limit, or that convert refuses.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size or MAX_INPUT_BYTES
+            data = fh.read(min(size, MAX_INPUT_BYTES) + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValidationError(f"larger than {MAX_INPUT_BYTES} bytes")
+        return convert(json.loads(data.decode("utf-8")))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"file {path!r}: {exc}") from exc

@@ -5,10 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from dispersionless.operator_core import (
     SIGMA_Z,
     as_square_matrix,
     frobenius,
+    MAX_INPUT_BYTES,
     identity,
     matrix_to_json,
     random_hermitian,
@@ -353,7 +356,7 @@ def assert_error_document(out, command, message):
         "schema": 1,
         "command": command,
         "passed": False,
-        "error": {"type": "CliInputError", "message": data["error"]["message"]},
+        "error": {"type": "ValidationError", "message": data["error"]["message"]},
     }
     assert message in data["error"]["message"]
 
@@ -758,6 +761,7 @@ all steps hold: jointly measurable quantities must commute
         path = tmp_path / "dim.json"
         if density is not None:
             path.write_text(density)
+            message = f"file {str(path)!r}: {message}"
         code, out, err = run(capsys, *(arg.format(path=path) for arg in argv), "--format", fmt)
         assert code == 2
         if fmt == "text":
@@ -1363,6 +1367,106 @@ class TestReconstructTranscript:
         assert [row["value"] for row in data["transcript"]] == pytest.approx(values, abs=1e-12)
 
 
+# every @ path: its command line, with {f} for the file, the valid file it takes, and the
+# exit code of that valid file
+FILE_PATHS = [
+    (("spectrum", "--expr", "@{f}"), "matrix", 0),
+    (("jointmeas", "--a", "SX", "--b", "@{f}"), "matrix", 0),
+    (("reconstruct", "--functional", "trace:@{f}"), "matrix", 0),
+    (("dispersion-witness", "--density", "@{f}"), "matrix", 0),
+    (("hv-demo", "--phi", "@{f}", "--a", "SX", "--b", "SY"), "state", 0),
+    (("reconstruct", "--functional", "pure:@{f}"), "state", 0),
+    (("reconstruct", "--functional", "hv:@{f}:0.1"), "state", 1),
+]
+FILE_PATH_IDS = ["spectrum", "jointmeas", "trace", "density", "phi", "pure", "hv"]
+VALID_FILES = {
+    "matrix": json.dumps(matrix_to_json(np.diag([0.25, 0.75]))).encode(),
+    "state": b"[[0.6, 0], [0, 0.8]]",
+}
+# each kind of bad file, as its bytes, from the valid file of the path; None for no file
+BAD_FILES = {
+    "missing": lambda valid: None,
+    "not-json": lambda valid: b"not json",
+    "not-utf8": lambda valid: valid + b"\xff",
+    "deep": lambda valid: b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": lambda valid: b"[[" + b"9" * 5000 + b", 0]]",
+    "over-cap": lambda valid: valid.ljust(MAX_INPUT_BYTES + 1),
+}
+
+
+class TestInputFiles:
+    """Every @ path reads its file through one bounded reader, which refuses a bad file with
+    exit 2 and one message that names the file once."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", BAD_FILES)
+    @pytest.mark.parametrize("argv, content, _", FILE_PATHS, ids=FILE_PATH_IDS)
+    def test_bad_file_refused(self, capsys, tmp_path, argv, content, _, kind, fmt):
+        path = tmp_path / "f.json"
+        data = BAD_FILES[kind](VALID_FILES[content])
+        if data is not None:
+            path.write_bytes(data)
+        code, out, err = run(capsys, *(arg.format(f=path) for arg in argv), "--format", fmt)
+        assert code == 2
+        if fmt == "text":
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.count(str(path)) == 1
+            return
+        assert err == ""
+        data = json.loads(out)  # one document: json.loads refuses anything after it
+        expr = argv[0] in ("spectrum", "jointmeas")
+        assert data["passed"] is False
+        assert data["error"]["type"] == ("ExprEvalError" if expr else "ValidationError")
+        assert data["error"]["message"].count(str(path)) == 1
+
+    @pytest.mark.parametrize("argv, content, expected", FILE_PATHS, ids=FILE_PATH_IDS)
+    def test_file_of_the_cap_accepted(self, capsys, tmp_path, argv, content, expected):
+        path = tmp_path / "f.json"
+        path.write_bytes(VALID_FILES[content].ljust(MAX_INPUT_BYTES))
+        code, _, err = run(capsys, *(arg.format(f=path) for arg in argv))
+        assert (code, err) == (expected, "")
+
+    @pytest.mark.parametrize("pad, expected", [(0, 0), (2 * MAX_INPUT_BYTES, 2)])
+    def test_pipe_is_read_to_the_cap(self, capsys, tmp_path, pad, expected):
+        # a pipe's size reads 0: it is read up to the cap, so a valid matrix is accepted and
+        # one padded past the cap refused, with the writer stopped by the closed pipe
+        path = tmp_path / "pipe.json"
+        os.mkfifo(path)
+
+        def write():
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                data = memoryview(VALID_FILES["matrix"] + b" " * pad)
+                while data:
+                    data = data[os.write(fd, data):]
+            except BrokenPipeError:
+                pass
+            finally:
+                os.close(fd)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        code, _, _ = run(capsys, "spectrum", "--expr", f"@{path}")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == expected
+
+    def test_refusal_holds_no_more_than_the_cap(self, capsys, tmp_path):
+        # a valid matrix with a 16 MB key: what is read of it is at most the cap
+        path = tmp_path / "pad.json"
+        path.write_text(json.dumps({**matrix_to_json(SIGMA_X), "pad": "x" * (16 << 20)}))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "spectrum", "--expr", f"@{path}", "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"larger than {MAX_INPUT_BYTES} bytes" in json.loads(out)["error"]["message"]
+        assert peak < 3 << 20
+
+
 BIG = "9" * 401
 
 
@@ -1376,7 +1480,7 @@ class TestOversizedIntegers:
          "matrix entries must be finite"),
         (("reconstruct", "--functional", "trace:@{m}"), "ValidationError",
          "matrix entries must be finite"),
-        (("hv-demo", "--phi", "@{s}", "--a", "SX", "--b", "SY"), "CliInputError",
+        (("hv-demo", "--phi", "@{s}", "--a", "SX", "--b", "SY"), "ValidationError",
          "state vector entries must be finite"),
     ], ids=["spectrum", "witness", "reconstruct", "hv-demo"])
     def test_refused(self, capsys, tmp_path, argv, error, message, fmt):

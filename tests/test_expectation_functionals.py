@@ -547,6 +547,21 @@ class TestReconstruction:
         assert obj["probe"]["dim"] == 2
         assert abs(obj["delta"] - (obj["lhs"] - obj["rhs"])) == 0.0
 
+    @pytest.mark.parametrize("c", [0.75e-9, 1.5e-9, -0.75e-9, -1.5e-9])
+    def test_probe_tolerance_is_lin_tol(self, c):
+        # LIN_TOL = 1e-9: I/2's trace form plus c Re(r01) Im(r01) is I/2 on every basis
+        # element, and misses it by |c| on the fixed probe SX + SY alone
+        def evaluate(op):
+            m = op.matrix
+            return np.trace(m).real / 2 + c * m[0, 1].real * m[0, 1].imag
+
+        f = ExpectationFunctional(2, evaluate=evaluate)
+        if abs(c) < LIN_TOL:
+            np.testing.assert_array_equal(reconstruct_density(f, 0).matrix, identity(2) / 2)
+        else:
+            with pytest.raises(AdditivityViolation):
+                reconstruct_density(f, 0)
+
 
 def _random_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -981,6 +996,16 @@ class TestDispersionWitness:
             ]
             assert d >= min(0.25, p - p * p) - LIN_TOL
             assert d > 0.0
+
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
+    def test_eigenvalue_gap_is_dm_gap(self, k):
+        # DM_GAP = 1e-6: the eigenvalue nearest 1/2 at p = 0.75e-6 from 0 (k > 0) or from 1
+        # (k < 0) counts as pure, with a witness of dispersion 1/4; at 1.5e-6 its projector
+        # is the witness, of dispersion p - p^2
+        p = abs(k) * 1e-6
+        diagonal = [1 - p, p] if k > 0 else [p / 2, p / 2, 1 - p]
+        _, d = dispersion_witness(DensityMatrix(np.diag(diagonal)))
+        assert d == pytest.approx(0.25 if abs(k) < 1 else p - p * p, rel=1e-6)
 
 
 class TestPureStateExpectation:

@@ -28,6 +28,7 @@ from dispersionless.expectation_functionals import (
 )
 from dispersionless.hidden_variables import (
     DELTA_TOL,
+    SubensembleReport,
     UnsupportedDimensionError,
     additivity_violation_report,
     assign_value,
@@ -515,6 +516,15 @@ class TestViolationScale:
         scaled = additivity_violation_report(phi, scale * r.matrix, scale * s.matrix, grid)
         assert scaled.violation_fraction == unit
         assert unit == (0.0 if parallel else 1.0)
+
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
+    def test_delta_tolerance_is_delta_tol(self, k):
+        # DELTA_TOL = 1e-9 of |vR| + |vS| + |vRplusS| = 4: a delta of 0.75 of 4e-9, either
+        # sign, is no violation, and one of 1.5 of it is
+        one = np.array([1.0])
+        report = SubensembleReport(PureState.from_label("z+"), np.array([0.0]), one, one,
+                                   np.array([2 + k * 4e-9]), *[0.0] * 6)
+        assert report.violation_fraction == (0.0 if abs(k) < 1 else 1.0)
 
 
 class TestAxisDecomposition:

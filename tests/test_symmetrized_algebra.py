@@ -496,6 +496,14 @@ class TestCommonGenerator:
             with pytest.raises(FunctionDomainError, match="no readout label"):
                 gen.reconstruct()
 
+    @pytest.mark.parametrize("k", [0.75, 1.5, -0.75, -1.5])
+    def test_cluster_gap_is_degeneracy_gap(self, k):
+        # DEGENERACY_GAP = 1e-8 of R's spectral radius, about 1: eigenvalues of R 0.75e-8
+        # apart are one cluster, read out as one value, and 1.5e-8 apart two
+        r = HermitianOperator(np.diag([1.0, 1 + k * 1e-8]))
+        verdict = joint_measurability_witness(r, HermitianOperator(np.diag([0.0, 1.0])))
+        assert len(set(verdict.generator.f_table.values())) == (1 if abs(k) < 1 else 2)
+
     def test_reconstruct_decomposes_once(self, monkeypatch):
         calls = []
 
